@@ -35,26 +35,9 @@ struct StageStats {
     scan: ScanStats,
 }
 
-/// `Option<f64>`-valued ratio as a JSON literal (`null` when undefined).
-fn json_ratio(r: Option<f64>) -> String {
-    r.map_or_else(|| "null".into(), |v| format!("{v:.4}"))
-}
-
 /// The scan-counter object serialized per stage and per sweep point.
 fn json_scan(s: &ScanStats) -> String {
-    format!(
-        "{{\"rows\": {}, \"lane_rows\": {}, \"lane_batches\": {}, \
-         \"lane_occupancy\": {}, \"lane_coverage\": {}, \
-         \"lb_checked\": {}, \"lb_pruned\": {}, \"lb_hit_rate\": {}}}",
-        s.rows,
-        s.lane_rows,
-        s.lane_batches,
-        json_ratio(s.lane_occupancy()),
-        json_ratio(s.lane_coverage()),
-        s.lb_checked,
-        s.lb_pruned,
-        json_ratio(s.lb_hit_rate()),
-    )
+    format!("{{\"rows\": {}}}", s.rows)
 }
 
 /// One sweep point: a full session at a given fleet size / candidate cap.
@@ -74,7 +57,8 @@ struct SweepPoint {
     level_candidates: BTreeMap<usize, usize>,
     /// Whole-session scan counters (sum of the per-stage ones).
     scan: ScanStats,
-    /// Whether the session ran the labeled refine stage (argmin + bounds).
+    /// Whether the session ran the labeled refine stage (early-abandoned
+    /// argmin).
     labeled: bool,
 }
 
@@ -106,8 +90,8 @@ fn run_point(users: usize, k: usize, eps: f64, seed: u64, deep: bool, labeled: b
     let max_candidates = config.c * config.k;
 
     let started = Instant::now();
-    // The labeled variant runs the labeled refine stage, whose argmin scan
-    // is where the envelope lower bounds fire.
+    // The labeled variant runs the labeled refine stage, whose scoring is
+    // the early-abandoned argmin scan.
     let mut session = if labeled {
         let n_classes = data.n_classes().expect("generator labels its classes");
         Session::privshape_labeled(config, n, n_classes).expect("valid session")
@@ -174,24 +158,10 @@ fn main() {
     let ks = [2usize, 6];
 
     let mut points = Vec::new();
+    println!("== scaling smoke (max users={}, eps={eps}) ==", ctx.users);
     println!(
-        "== scaling smoke (max users={}, eps={eps}, simd={}) ==",
-        ctx.users,
-        privshape_distance::simd_enabled()
-    );
-    println!(
-        "{:>8} {:>4} {:>6} {:>6} {:>6} {:>7} {:>10} {:>12} {:>14} {:>6} {:>6}",
-        "users",
-        "k",
-        "cands",
-        "deep",
-        "lbl",
-        "levels",
-        "reports",
-        "loop secs",
-        "reports/sec",
-        "lane%",
-        "lb%"
+        "{:>8} {:>4} {:>6} {:>6} {:>6} {:>7} {:>10} {:>12} {:>14}",
+        "users", "k", "cands", "deep", "lbl", "levels", "reports", "loop secs", "reports/sec"
     );
     let mut grid: Vec<(usize, usize, bool, bool)> = Vec::new();
     for &users in &fleet_sizes {
@@ -204,14 +174,13 @@ fn main() {
     // sibling batch.
     grid.push((ctx.users, 6, true, false));
     // The labeled point: same shape, but the labeled refine stage runs the
-    // early-abandoned argmin where the envelope lower bounds fire.
+    // early-abandoned argmin.
     grid.push((ctx.users, 6, true, true));
     for (users, k, deep, labeled) in grid {
         let p = run_point(users, k, eps, ctx.seed, deep, labeled);
         let rps = p.reports as f64 / p.loop_secs.max(1e-9);
-        let pct = |r: Option<f64>| r.map_or_else(|| "-".into(), |v| format!("{:.0}", v * 100.0));
         println!(
-            "{:>8} {:>4} {:>6} {:>6} {:>6} {:>7} {:>10} {:>12.3} {:>14.0} {:>6} {:>6}",
+            "{:>8} {:>4} {:>6} {:>6} {:>6} {:>7} {:>10} {:>12.3} {:>14.0}",
             p.users,
             p.k,
             p.max_candidates,
@@ -221,33 +190,12 @@ fn main() {
             p.reports,
             p.loop_secs,
             rps,
-            pct(p.scan.lane_coverage()),
-            pct(p.scan.lb_hit_rate()),
         );
-        if privshape_distance::simd_enabled() {
-            if let Some(cov) = p.scan.lane_coverage() {
-                if cov < 0.5 {
-                    println!(
-                        "    note: lane coverage {:.0}% (users={}, k={}, deep={}) — \
-                         most sibling batches were too small (or shared too little \
-                         prefix) to fill {}-wide lanes, so those rows ran scalar",
-                        cov * 100.0,
-                        p.users,
-                        p.k,
-                        p.deep,
-                        ScanStats::LANE_WIDTH
-                    );
-                }
-            }
-        }
         points.push(p);
     }
 
     // Hand-rolled JSON (the workspace is offline — no serde).
-    let mut json = format!(
-        "{{\n  \"simd\": {},\n  \"sweeps\": [\n",
-        privshape_distance::simd_enabled()
-    );
+    let mut json = String::from("{\n  \"sweeps\": [\n");
     for (i, p) in points.iter().enumerate() {
         let rps = p.reports as f64 / p.loop_secs.max(1e-9);
         let levels: Vec<String> = p

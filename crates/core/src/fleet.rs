@@ -74,20 +74,10 @@ impl SimulatedFleet {
         self.clients.len()
     }
 
-    /// Scan counters accumulated across every worker workspace since the
-    /// fleet was built (or since [`SimulatedFleet::take_scan_stats`]):
-    /// rows scored by the table scorers, lane-kernel usage, and
-    /// lower-bound prunes. Purely observational.
-    pub fn scan_stats(&self) -> ScanStats {
-        let mut total = ScanStats::default();
-        for worker in &self.workers {
-            total.merge(&worker.ws.stats());
-        }
-        total
-    }
-
-    /// Returns the merged scan counters and resets every worker's to zero,
-    /// so callers can attribute counters to a protocol stage or round.
+    /// Returns the scan counters merged across every worker workspace
+    /// since the fleet was built (or since the last call) and resets them
+    /// to zero, so callers can attribute counters to a protocol stage or
+    /// round. Purely observational.
     pub fn take_scan_stats(&mut self) -> ScanStats {
         let mut total = ScanStats::default();
         for worker in &mut self.workers {

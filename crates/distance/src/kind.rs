@@ -116,52 +116,23 @@ impl DistanceKind {
         match self {
             DistanceKind::Dtw => {
                 ws.load_own(own);
-                #[cfg(feature = "simd")]
-                {
-                    let DistanceWorkspace {
-                        stack,
-                        block,
-                        stats,
-                        ia,
-                        batch,
-                        ..
-                    } = ws;
-                    prefix::dtw_batch_lanes(stack, block, stats, ia, table, batch);
-                }
-                #[cfg(not(feature = "simd"))]
-                {
-                    let DistanceWorkspace {
-                        stack,
-                        stats,
-                        ia,
-                        batch,
-                        ..
-                    } = ws;
-                    prefix::dtw_batch(stack, stats, ia, table, batch);
-                }
+                let DistanceWorkspace {
+                    stack,
+                    stats,
+                    ia,
+                    batch,
+                    ..
+                } = ws;
+                prefix::dtw_batch(stack, stats, ia, table, batch);
             }
             DistanceKind::Sed => {
-                #[cfg(feature = "simd")]
-                {
-                    let DistanceWorkspace {
-                        stack,
-                        block,
-                        stats,
-                        batch,
-                        ..
-                    } = ws;
-                    prefix::sed_batch_lanes(stack, block, stats, own, table, batch);
-                }
-                #[cfg(not(feature = "simd"))]
-                {
-                    let DistanceWorkspace {
-                        stack,
-                        stats,
-                        batch,
-                        ..
-                    } = ws;
-                    prefix::sed_batch(stack, stats, own, table, batch);
-                }
+                let DistanceWorkspace {
+                    stack,
+                    stats,
+                    batch,
+                    ..
+                } = ws;
+                prefix::sed_batch(stack, stats, own, table, batch);
             }
             DistanceKind::Euclidean => {
                 ws.load_own(own);
@@ -183,12 +154,8 @@ impl DistanceKind {
     /// contract enables **early abandoning** on top of prefix reuse: DP
     /// values only grow with candidate depth, so once a shared row's
     /// minimum exceeds the running best, every candidate extending that
-    /// prefix is skipped without touching its suffix. DTW and SED rows are
-    /// additionally screened by O(1) admissible envelope lower bounds
-    /// ([`crate::DtwEnvelopeBound`], [`crate::SedEnvelopeBound`]) built
-    /// from the table's precomputed envelope columns, killing hopeless
-    /// rows before any DP work. Ties resolve to the earlier row, exactly
-    /// like the full scan.
+    /// prefix is skipped without touching its suffix. Ties resolve to the
+    /// earlier row, exactly like the full scan.
     pub fn argmin_table(
         &self,
         ws: &mut DistanceWorkspace,

@@ -2,15 +2,10 @@
 //! DP state across candidates must be a pure optimization — bit-identical
 //! distances and identical argmins versus the flat per-candidate path, for
 //! every distance kind, on prefix-ordered *and* arbitrarily ordered tables.
-//!
-//! Built with `--features simd`, `dist_batch_table` routes DTW/SED through
-//! the candidate-parallel lane kernels and `argmin_table` screens rows with
-//! the envelope lower bounds, so the same assertions below also pin
-//! lanes-vs-scalar bit-identity and bound admissibility. The sibling-run
-//! test targets the lane path specifically: explicit sibling groups of
-//! every size from 1 up past the lane width, trie-ordered and shuffled.
+//! The sibling-run test adds explicit sibling groups — the shape of a trie
+//! level — trie-ordered and shuffled.
 
-use privshape_distance::{DistanceKind, DistanceWorkspace, DtwEnvelopeBound, SedEnvelopeBound};
+use privshape_distance::{DistanceKind, DistanceWorkspace};
 use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq};
 use proptest::prelude::*;
 
@@ -43,9 +38,8 @@ fn same(a: f64, b: f64) -> bool {
 }
 
 /// Sibling-group rows: each group is a shared prefix plus 1..=5 children
-/// differing only in their final symbol (duplicates allowed) — exactly the
-/// shape the lane kernels batch, with ragged tails at every size from a
-/// single row up past the 4-wide lanes.
+/// differing only in their final symbol (duplicates allowed) — the shape
+/// of a trie level, where every row resumes its predecessor's DP stack.
 fn sibling_rows_strategy() -> impl Strategy<Value = Vec<SymbolSeq>> {
     prop::collection::vec(
         (
@@ -163,15 +157,10 @@ proptest! {
         }
     }
 
-    /// Sibling-run tables — the exact shape the lane kernels batch, with
-    /// run lengths straddling the lane width — score bit-identically to
-    /// the flat scalar path, trie-ordered and shuffled, with one workspace
-    /// reused throughout. Under `--features simd` every multi-row run in
-    /// the trie-ordered table goes through the f64x4 kernels (ragged tails
-    /// included); without the feature this pins the same scalar reference
-    /// the kernels are held to.
+    /// Sibling-run tables score bit-identically to the flat path,
+    /// trie-ordered and shuffled, with one workspace reused throughout.
     #[test]
-    fn lane_batches_are_bit_identical_on_sibling_runs(
+    fn sibling_runs_are_bit_identical_to_flat(
         own in seq_strategy(),
         rows in sibling_rows_strategy(),
         seed in 0u64..u64::MAX,
@@ -189,29 +178,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// The envelope lower bounds are admissible: never above the true
-    /// distance, for every row of any table. (Admissibility is exactly
-    /// what makes the argmin's strict `bound > best` skip lossless.)
-    #[test]
-    fn envelope_bounds_never_exceed_true_distances(
-        own in seq_strategy(),
-        rows in prop::collection::vec(seq_strategy(), 1..14),
-    ) {
-        let table = table_of(&rows);
-        let dtw_lb = DtwEnvelopeBound::new(&own.as_indices());
-        let sed_lb = SedEnvelopeBound::new(own.symbols());
-        for (i, cand) in rows.iter().enumerate() {
-            if let Some((lo, hi)) = table.envelope(i) {
-                let d = DistanceKind::Dtw.dist(&own, cand);
-                let b = dtw_lb.bound(lo, hi);
-                prop_assert!(b <= d, "dtw {} vs {}: bound {} > {}", own, cand, b, d);
-            }
-            let d = DistanceKind::Sed.dist(&own, cand);
-            let b = sed_lb.bound(cand.len(), table.row_mask(i));
-            prop_assert!(b <= d, "sed {} vs {}: bound {} > {}", own, cand, b, d);
         }
     }
 }

@@ -55,7 +55,7 @@ pub use budget::{Epsilon, LdpError, PrivacyLevel, Result};
 pub use em::ExpMech;
 pub use grr::{Grr, GrrAggregator};
 pub use laplace::laplace_noise;
-pub use olh::{Olh, OlhAggregator, OlhReport};
+pub use olh::{splitmix64, Olh, OlhAggregator, OlhReport, SPLITMIX64_GAMMA};
 pub use oue::{Oue, OueAggregator, OueReport};
 pub use piecewise::{PiecewiseAggregator, PiecewiseMechanism};
 pub use theory::amplification::{amplified_epsilon, rate_for_amplified, BudgetLedger, EpochCharge};

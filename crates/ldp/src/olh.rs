@@ -57,7 +57,8 @@ impl Olh {
 
     /// The public hash: bucket of `value` under `seed`.
     pub fn hash(&self, seed: u64, value: usize) -> usize {
-        (mix(seed ^ mix(value as u64 ^ 0x6A09_E667_F3BC_C908)) % self.g as u64) as usize
+        (splitmix64(seed ^ splitmix64(value as u64 ^ 0x6A09_E667_F3BC_C908)) % self.g as u64)
+            as usize
     }
 
     /// Perturbs `value`: draws a fresh public seed, hashes, and applies GRR
@@ -81,9 +82,17 @@ impl Olh {
     }
 }
 
-/// SplitMix64 finalizer (shared convention across the workspace).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// The SplitMix64 increment: [`splitmix64`] adds it before mixing, and a
+/// SplitMix64 generator advances its state by it per draw.
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 finalizer: `z + GAMMA`, then the two xor-shift-multiply
+/// rounds. The one hash the OLH buckets, per-user RNG streams and fault
+/// plans share; `splitmix64(s)` is also the output of a SplitMix64
+/// generator at state `s` whose next state is `s + GAMMA`.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(SPLITMIX64_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -24,6 +24,7 @@
 //! behaves. Persistent faults are modeled by scheduling many points
 //! ([`FaultPlan::storm`]).
 
+use privshape_ldp::{splitmix64, SPLITMIX64_GAMMA};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -162,11 +163,9 @@ pub struct FaultPlan {
 /// SplitMix64 step — the same tiny generator the datasets crate uses for
 /// deterministic synthesis; good enough to scatter fault points.
 fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    out
 }
 
 impl FaultPlan {

@@ -97,7 +97,7 @@ mod round;
 mod session;
 mod shard;
 mod transform;
-mod wire;
+pub mod wire;
 
 pub use chaos::{AbsorbAction, FaultKind, FaultPlan, FiredCounts, SubmitAction};
 pub use client::{GroupAssignment, UserClient};

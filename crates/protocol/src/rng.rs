@@ -11,6 +11,7 @@
 //! that the simulation harness uses, so a federated deployment and a
 //! single-process simulation are bit-identical.
 
+use privshape_ldp::splitmix64;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -43,17 +44,9 @@ impl Stage {
     }
 }
 
-/// SplitMix64 finalizer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Derives the RNG stream for `(seed, stage, user)`.
 pub fn user_rng(seed: u64, stage: Stage, user: usize) -> ChaCha12Rng {
-    let derived = mix(seed ^ mix(stage.tag()) ^ mix(user as u64));
+    let derived = splitmix64(seed ^ splitmix64(stage.tag()) ^ splitmix64(user as u64));
     ChaCha12Rng::seed_from_u64(derived)
 }
 

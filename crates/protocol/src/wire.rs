@@ -78,7 +78,8 @@ pub const ROUTED_VERSION: u8 = 1;
 
 /// Appends `v` as an LEB128 varint (7 value bits per byte, high bit =
 /// continuation).
-pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+#[inline]
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -91,7 +92,14 @@ pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads one LEB128 varint starting at `*pos`, advancing `*pos` past it.
-pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
+///
+/// # Errors
+///
+/// [`Error::Protocol`] when the buffer ends mid-varint or the encoding
+/// carries bits past 2^64 (an overlong 10th byte is refused, never
+/// truncated).
+#[inline]
+pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut out = 0u64;
     let mut shift = 0u32;
     loop {
@@ -134,7 +142,8 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 }
 
 /// FNV-1a 64-bit checksum (tamper evidence for sealed frames; not a MAC).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);

@@ -353,4 +353,28 @@ mod tests {
         registry.close_round(id).unwrap();
         assert!(registry.snapshot_session(id).is_ok());
     }
+
+    #[test]
+    fn restore_rejects_an_overlong_session_id() {
+        let registry = ServiceRegistry::new(ServiceConfig::default());
+        let id = registry
+            .admit(Session::privshape(config(4), 300).unwrap())
+            .unwrap();
+        let snap = registry.snapshot_session(id).unwrap();
+        assert!(registry.evict_session(id));
+        // A small id is one varint byte. Re-encode it over ten bytes whose
+        // last one carries bits past 2^64: a decoder that shifts them out
+        // would restore the corrupted snapshot under a truncated id.
+        assert!(id < 0x80 && u64::from(snap[0]) == id);
+        let mut corrupted = vec![id as u8 | 0x80];
+        corrupted.extend([0x80; 8]);
+        corrupted.push(0x02);
+        corrupted.extend_from_slice(&snap[1..]);
+        assert!(matches!(
+            registry.restore_session(&corrupted),
+            Err(ServiceError::Session(ProtocolError::Protocol(_)))
+        ));
+        // The intact snapshot still restores under its id.
+        assert_eq!(registry.restore_session(&snap).unwrap(), id);
+    }
 }

@@ -1,5 +1,6 @@
 //! Typed retry/backoff policy for supervised session recovery.
 
+use privshape_protocol::wire::fnv1a64;
 use std::time::Duration;
 
 /// How a [`crate::Supervisor`] prices failure: how often it retries, how
@@ -57,15 +58,10 @@ impl RetryPolicy {
             .saturating_mul(1u32 << exp)
             .min(self.max_backoff);
         // FNV-1a over the seed and attempt bytes → fraction in [0, 1).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in jitter_seed
-            .to_le_bytes()
-            .into_iter()
-            .chain(attempt.to_le_bytes())
-        {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let mut bytes = [0u8; 12];
+        bytes[..8].copy_from_slice(&jitter_seed.to_le_bytes());
+        bytes[8..].copy_from_slice(&attempt.to_le_bytes());
+        let h = fnv1a64(&bytes);
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
         raw.mul_f64(0.5 + unit / 2.0)
     }
@@ -99,5 +95,26 @@ mod tests {
         }
         // The cap holds no matter the attempt number.
         assert!(policy.backoff(30, 7) < Duration::from_millis(80));
+    }
+
+    #[test]
+    fn backoff_values_are_pinned() {
+        // Exact waits for a spread of (attempt, seed) pairs: a change to the
+        // jitter hash shows up here even when it stays inside the envelope.
+        let policy = RetryPolicy::default();
+        let got: Vec<u128> = [
+            (1, 0),
+            (1, 42),
+            (2, 7),
+            (3, 1 << 40),
+            (6, u64::MAX),
+            (30, 9),
+        ]
+        .map(|(attempt, seed)| policy.backoff(attempt, seed).as_nanos())
+        .to_vec();
+        assert_eq!(
+            got,
+            [4261971, 4068592, 6028427, 19339987, 144822971, 178564944]
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! The service registry: admission, routing, and session multiplexing.
 
 use crate::error::{Result, ServiceError};
+use privshape_protocol::wire::{put_varint, read_varint};
 use privshape_protocol::{
     Error as ProtocolError, Extraction, FaultPlan, IngestConfig, IngestPipeline, IngestStats,
     LabeledExtraction, RoundSpec, RoutedFrame, Session,
@@ -390,11 +391,7 @@ impl ServiceRegistry {
     /// admission and snapshot-validation errors as usual.
     pub fn restore_session(&self, bytes: &[u8]) -> Result<u64> {
         let mut pos = 0;
-        let id = read_varint(bytes, &mut pos).ok_or_else(|| {
-            ServiceError::Session(ProtocolError::Protocol(
-                "service snapshot too short for a session id".into(),
-            ))
-        })?;
+        let id = read_varint(bytes, &mut pos)?;
         let session = Session::restore(&bytes[pos..])?;
         self.insert(id, session)?;
         // Never hand out an id at or below a restored one.
@@ -402,32 +399,4 @@ impl ServiceRegistry {
         *next = (*next).max(id + 1);
         Ok(id)
     }
-}
-
-/// LEB128 varint append (the registry frames only the id; the session
-/// snapshot body has its own codec inside the protocol crate).
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            break;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// LEB128 varint read; `None` on truncation or overlong encoding.
-fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-    }
-    None
 }
