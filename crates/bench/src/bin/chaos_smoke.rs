@@ -1,5 +1,6 @@
 //! Chaos smoke test: nine concurrent extraction sessions driven through
-//! the [`Supervisor`] under a matrix of injected faults — worker panics
+//! a [supervised](ServiceRegistry::supervised) registry under a matrix of
+//! injected faults — worker panics
 //! mid-round, absorb/submit stalls, sealed-frame drops and duplicates,
 //! checkpoint corruption, repeated panics on one session, and one
 //! hopeless session whose every round panics. Every *surviving* session's
@@ -29,7 +30,7 @@ use privshape::PrivShapeConfig;
 use privshape_bench::ExpCtx;
 use privshape_datasets::{generate_symbols_like, SymbolsLikeConfig};
 use privshape_ldp::Epsilon;
-use privshape_service::{RetryPolicy, ServiceConfig, ServiceError, Supervisor};
+use privshape_service::{RetryPolicy, ServiceConfig, ServiceError, ServiceRegistry};
 use privshape_timeseries::{SaxParams, TimeSeries};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -243,8 +244,8 @@ fn routed(
 }
 
 /// Routes one session's frames (retransmitting injected drops) and closes
-/// the round. Returns the supervisor's verdict on the round.
-fn drive_round(sup: &Supervisor, id: u64, frames: &[Vec<u8>]) -> Result<(), ServiceError> {
+/// the round. Returns the supervised registry's verdict on the round.
+fn drive_round(sup: &ServiceRegistry, id: u64, frames: &[Vec<u8>]) -> Result<(), ServiceError> {
     for frame in frames {
         let mut retransmits = 0u32;
         loop {
@@ -284,7 +285,7 @@ fn main() {
         }
     }));
 
-    let sup = Supervisor::new(
+    let sup = ServiceRegistry::supervised(
         ServiceConfig {
             max_sessions: DESCRIPTORS.len(),
             ingest: IngestConfig {
@@ -323,11 +324,10 @@ fn main() {
         let (twin, frames_per_round) = run_twin(seed, data.series());
         let plan = (desc.plan)(&frames_per_round).map(Arc::new);
 
-        let session = build_session(seed, n);
+        let mut session = build_session(seed, n);
         let clients = build_clients(&session, data.series());
-        let id = sup
-            .admit_with_chaos(session, plan.clone())
-            .expect("admission under capacity");
+        session.set_fault_plan(plan.clone());
+        let id = sup.admit(session).expect("admission under capacity");
         total_users += n;
         tenants.insert(
             id,
@@ -357,13 +357,10 @@ fn main() {
     let started = Instant::now();
     let mut survivors = 0usize;
     while sup.active_sessions() > 0 {
-        let mut wave: Vec<u64> = Vec::new();
-        for _ in 0..sup.active_sessions() {
-            let id = sup.next_session().expect("sessions resident");
-            if !wave.contains(&id) {
-                wave.push(id);
-            }
-        }
+        // One pass over the rotation: every resident id exactly once.
+        let wave: Vec<u64> = (0..sup.active_sessions())
+            .map(|_| sup.next_session().expect("sessions resident"))
+            .collect();
 
         let mut open: Vec<(u64, Vec<Vec<u8>>)> = Vec::new();
         for &id in &wave {

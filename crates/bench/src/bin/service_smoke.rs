@@ -323,14 +323,10 @@ fn main() {
     let mut exercised_duplicates = 0u64;
     let mut exercised_corruptions = 0u64;
     while registry.active_sessions() > 0 {
-        // One pass over the rotation.
-        let mut wave: Vec<u64> = Vec::new();
-        for _ in 0..registry.active_sessions() {
-            let id = registry.next_session().expect("sessions resident");
-            if !wave.contains(&id) {
-                wave.push(id);
-            }
-        }
+        // One pass over the rotation: every resident id exactly once.
+        let wave: Vec<u64> = (0..registry.active_sessions())
+            .map(|_| registry.next_session().expect("sessions resident"))
+            .collect();
 
         let mut per_session: Vec<Vec<Vec<u8>>> = Vec::new();
         let mut open: Vec<u64> = Vec::new();

@@ -141,7 +141,8 @@ fn run_point(users: usize, eps: f64, seed: u64, workers: usize) -> Point {
             for frame in &frames {
                 pipeline.submit_frame(frame.clone()).expect("pipeline open");
             }
-            let (streamed, stats) = pipeline.finish_with_stats().expect("workers succeed");
+            let (streamed, stats) = pipeline.finish_accounted();
+            let streamed = streamed.expect("workers succeed");
             point.streaming_secs += started.elapsed().as_secs_f64();
             point.queue_high_water = point.queue_high_water.max(stats.queue_high_water);
             point.backpressure_stalls += stats.backpressure_stalls;

@@ -284,7 +284,8 @@ fn drive_sealed(
                 pipeline.submit_sealed_frame(&bad).expect("pipeline open");
             }
         }
-        let (shard, stats) = pipeline.finish_with_stats().expect("workers succeed");
+        let (shard, stats) = pipeline.finish_accounted();
+        let shard = shard.expect("workers succeed");
         totals.absorb(&stats);
         session.record_ingest_stats(&stats);
         session.submit_shard(&shard).expect("shards merge");

@@ -11,11 +11,12 @@
 //! so every chaos run is replayable bit-for-bit from a single integer.
 //!
 //! The plan is a **runtime hook**, not a cargo feature: pass
-//! `Some(Arc<FaultPlan>)` to [`crate::IngestPipeline::for_round_chaos`]
-//! (or [`crate::Session::ingest_pipeline_chaos`]) and the pipeline
-//! consults it at each sequence point; pass `None` (or use the ordinary
-//! constructors) and the hook costs one branch on an absent `Option`.
-//! Production code paths therefore carry no chaos machinery at all.
+//! `Some(Arc<FaultPlan>)` to [`crate::IngestPipeline::for_round`] (or
+//! install it on a session with [`crate::Session::set_fault_plan`], which
+//! every later [`crate::Session::ingest_pipeline`] passes on) and the
+//! pipeline consults it at each sequence point; pass `None` and the hook
+//! costs one branch on an absent `Option`. Production code paths
+//! therefore carry no chaos machinery at all.
 //!
 //! Every fault point fires **exactly once**. Sequence counters are global
 //! to the plan and monotone across pipelines, so a recovery that replays
@@ -186,12 +187,6 @@ impl FaultPlan {
         }
     }
 
-    /// A plan with no fault points: sequence counters advance, nothing
-    /// ever fires. Useful as a control arm.
-    pub fn quiet() -> Self {
-        Self::new([])
-    }
-
     /// A pseudorandom schedule fully determined by `seed` — the
     /// property-test constructor. Bounded by design so arbitrary seeds
     /// stay testable: at most 5 faults, stalls ≤ 8 ms, fault points inside
@@ -320,9 +315,9 @@ impl FaultPlan {
 
     /// Advances the checkpoint counter and, if a corruption is scheduled
     /// here, flips one byte of `bytes` **in the second half** — inside the
-    /// checksummed snapshot body, never the routing prefix, so corruption
-    /// models storage rot rather than misaddressed restores. Returns
-    /// whether a flip happened.
+    /// checksummed snapshot body, never the envelope header, so corruption
+    /// models storage rot that the body checksum catches. Returns whether
+    /// a flip happened.
     pub fn next_checkpoint(&self, bytes: &mut [u8]) -> bool {
         let idx = self.checkpoint_seq.fetch_add(1, Ordering::AcqRel);
         let hit = self.claim(|k| {

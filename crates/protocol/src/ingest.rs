@@ -37,7 +37,7 @@
 //! same way — a crashing worker is a recoverable round failure, not a
 //! hung session.
 //!
-//! **Chaos.** [`IngestPipeline::for_round_chaos`] accepts an optional
+//! **Chaos.** [`IngestPipeline::for_round`] takes an optional
 //! [`FaultPlan`] consulted at each sequence point (sealed submit, worker
 //! absorb) to fire deterministic injected faults; see [`crate::chaos`].
 
@@ -318,6 +318,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///     &spec,
 ///     eps,
 ///     IngestConfig { workers: 3, queue_capacity: 8 },
+///     None,
 /// ).unwrap();
 /// // Frames arrive in any order, from any producer.
 /// for chunk in [[0usize, 1], [2, 2], [1, 0]] {
@@ -348,16 +349,12 @@ impl IngestPipeline {
     /// aggregator from the spec alone (the same construction every shard
     /// everywhere performs), so a spec the aggregator rejects fails here,
     /// before any thread starts.
-    pub fn for_round(spec: &RoundSpec, epsilon: Epsilon, config: IngestConfig) -> Result<Self> {
-        Self::for_round_chaos(spec, epsilon, config, None)
-    }
-
-    /// [`IngestPipeline::for_round`] with an optional [`FaultPlan`] hook:
-    /// when present, the plan is consulted before every sealed-frame
-    /// submission and every worker absorb, firing its scheduled faults
-    /// deterministically (see [`crate::chaos`]). With `None` this is
-    /// exactly `for_round`.
-    pub fn for_round_chaos(
+    ///
+    /// `chaos` is the fault-injection hook, `None` in production: a plan
+    /// is consulted before every sealed-frame submission and every worker
+    /// absorb, firing its scheduled faults deterministically (see
+    /// [`crate::chaos`]).
+    pub fn for_round(
         spec: &RoundSpec,
         epsilon: Epsilon,
         config: IngestConfig,
@@ -549,19 +546,12 @@ impl IngestPipeline {
         }
     }
 
-    /// [`IngestPipeline::finish`], also returning the final
-    /// [`IngestStats`] so callers can fold them into session diagnostics
-    /// ([`crate::Session::record_ingest_stats`]).
-    pub fn finish_with_stats(self) -> Result<(ShardAggregator, IngestStats)> {
-        let (result, stats) = self.finish_accounted();
-        Ok((result?, stats))
-    }
-
     /// [`IngestPipeline::finish`] that hands back the final counters in
     /// **both** arms — a failed round still reports how it failed
     /// (including panics recorded during the drain/join itself), so a
-    /// supervisor can fold crash counts into session health metrics
-    /// before recovering the round.
+    /// supervised registry can fold crash counts into session health
+    /// metrics ([`crate::Session::record_ingest_stats`]) before recovering
+    /// the round.
     pub fn finish_accounted(self) -> (Result<ShardAggregator>, IngestStats) {
         let queue = Arc::clone(&self.queue);
         let mut stats = self.stats();
@@ -648,6 +638,19 @@ mod tests {
         }
     }
 
+    fn pipeline(
+        spec: &RoundSpec,
+        workers: usize,
+        queue_capacity: usize,
+        chaos: Option<Arc<FaultPlan>>,
+    ) -> IngestPipeline {
+        let config = IngestConfig {
+            workers,
+            queue_capacity,
+        };
+        IngestPipeline::for_round(spec, eps(), config, chaos).unwrap()
+    }
+
     #[test]
     fn pipeline_matches_serial_absorb() {
         let spec = spec(4);
@@ -657,15 +660,7 @@ mod tests {
             serial.absorb(r).unwrap();
         }
         for workers in [1usize, 2, 5] {
-            let pipeline = IngestPipeline::for_round(
-                &spec,
-                eps(),
-                IngestConfig {
-                    workers,
-                    queue_capacity: 4,
-                },
-            )
-            .unwrap();
+            let pipeline = pipeline(&spec, workers, 4, None);
             for chunk in reports.chunks(13) {
                 pipeline.submit_reports(chunk).unwrap();
             }
@@ -677,17 +672,7 @@ mod tests {
     #[test]
     fn concurrent_producers_are_exact() {
         let spec = spec(3);
-        let pipeline = Arc::new(
-            IngestPipeline::for_round(
-                &spec,
-                eps(),
-                IngestConfig {
-                    workers: 3,
-                    queue_capacity: 2,
-                },
-            )
-            .unwrap(),
-        );
+        let pipeline = Arc::new(pipeline(&spec, 3, 2, None));
         std::thread::scope(|s| {
             for p in 0..4 {
                 let pipeline = Arc::clone(&pipeline);
@@ -709,15 +694,7 @@ mod tests {
     #[test]
     fn worker_error_poisons_and_surfaces() {
         let spec = spec(2);
-        let pipeline = IngestPipeline::for_round(
-            &spec,
-            eps(),
-            IngestConfig {
-                workers: 2,
-                queue_capacity: 4,
-            },
-        )
-        .unwrap();
+        let pipeline = pipeline(&spec, 2, 4, None);
         pipeline.submit_reports(&[Report::Expand(0)]).unwrap();
         // Out-of-domain selection: the absorbing worker fails the round.
         pipeline.submit_reports(&[Report::Expand(9)]).unwrap();
@@ -741,15 +718,7 @@ mod tests {
     #[test]
     fn poisoned_submit_carries_the_cause() {
         let spec = spec(2);
-        let pipeline = IngestPipeline::for_round(
-            &spec,
-            eps(),
-            IngestConfig {
-                workers: 1,
-                queue_capacity: 4,
-            },
-        )
-        .unwrap();
+        let pipeline = pipeline(&spec, 1, 4, None);
         // Out-of-domain selection: the absorbing worker fails the round.
         pipeline.submit_reports(&[Report::Expand(9)]).unwrap();
         let mut cause_seen = None;
@@ -778,16 +747,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new([crate::chaos::FaultKind::WorkerPanic {
             at_absorb: 0,
         }]));
-        let pipeline = IngestPipeline::for_round_chaos(
-            &spec,
-            eps(),
-            IngestConfig {
-                workers: 2,
-                queue_capacity: 4,
-            },
-            Some(Arc::clone(&plan)),
-        )
-        .unwrap();
+        let pipeline = pipeline(&spec, 2, 4, Some(Arc::clone(&plan)));
         pipeline.submit_reports(&[Report::Expand(0)]).unwrap();
         // Poll until the panic poisons the pipeline, then the submit-time
         // error must carry the panic message as its cause.
@@ -824,16 +784,7 @@ mod tests {
             crate::chaos::FaultKind::FrameDrop { at_submit: 1 },
             crate::chaos::FaultKind::FrameDuplicate { at_submit: 3 },
         ]));
-        let pipeline = IngestPipeline::for_round_chaos(
-            &spec,
-            eps(),
-            IngestConfig {
-                workers: 2,
-                queue_capacity: 8,
-            },
-            Some(Arc::clone(&plan)),
-        )
-        .unwrap();
+        let pipeline = pipeline(&spec, 2, 8, Some(Arc::clone(&plan)));
         for chunk in reports.chunks(10) {
             let frame = wire::seal_frame(chunk);
             match pipeline.submit_sealed_frame(&frame) {
@@ -844,9 +795,10 @@ mod tests {
                 Err(other) => panic!("unexpected error: {other}"),
             }
         }
-        let (merged, stats) = pipeline.finish_with_stats().unwrap();
+        let (merged, stats) = pipeline.finish_accounted();
         assert_eq!(
-            merged, serial,
+            merged.unwrap(),
+            serial,
             "dropped+duplicated frames must aggregate like the clean stream"
         );
         // The duplicated frame's 10 reports were all shed by dedup.
@@ -859,15 +811,7 @@ mod tests {
     #[test]
     fn dropping_without_finish_releases_workers() {
         let spec = spec(2);
-        let pipeline = IngestPipeline::for_round(
-            &spec,
-            eps(),
-            IngestConfig {
-                workers: 2,
-                queue_capacity: 1,
-            },
-        )
-        .unwrap();
+        let pipeline = pipeline(&spec, 2, 1, None);
         pipeline.submit_reports(&[Report::Expand(0)]).unwrap();
         let queue = Arc::clone(&pipeline.queue);
         // Early-exit path: no finish(). Drop must close the queue so the
@@ -891,13 +835,15 @@ mod tests {
                 workers: 1,
                 queue_capacity: 0,
             },
+            None,
         )
         .is_err());
     }
 
     #[test]
     fn empty_round_finishes_empty() {
-        let pipeline = IngestPipeline::for_round(&spec(2), eps(), IngestConfig::default()).unwrap();
+        let pipeline =
+            IngestPipeline::for_round(&spec(2), eps(), IngestConfig::default(), None).unwrap();
         let merged = pipeline.finish().unwrap();
         assert_eq!(merged.reports(), 0);
     }
@@ -911,15 +857,7 @@ mod tests {
             serial.absorb(r).unwrap();
         }
 
-        let pipeline = IngestPipeline::for_round(
-            &spec,
-            eps(),
-            IngestConfig {
-                workers: 2,
-                queue_capacity: 8,
-            },
-        )
-        .unwrap();
+        let pipeline = pipeline(&spec, 2, 8, None);
         for chunk in reports.chunks(10) {
             let frame = wire::seal_frame(chunk);
             pipeline.submit_sealed_frame(&frame).unwrap();
@@ -931,9 +869,10 @@ mod tests {
             bad[mid] ^= 0x40;
             pipeline.submit_sealed_frame(&bad).unwrap();
         }
-        let (merged, stats) = pipeline.finish_with_stats().unwrap();
+        let (merged, stats) = pipeline.finish_accounted();
         assert_eq!(
-            merged, serial,
+            merged.unwrap(),
+            serial,
             "hostile stream must aggregate like the clean one"
         );
         assert_eq!(stats.accepted_reports, 90);
@@ -944,7 +883,8 @@ mod tests {
     #[test]
     fn plain_path_leaves_validation_counters_untouched() {
         let spec = spec(2);
-        let pipeline = IngestPipeline::for_round(&spec, eps(), IngestConfig::default()).unwrap();
+        let pipeline =
+            IngestPipeline::for_round(&spec, eps(), IngestConfig::default(), None).unwrap();
         pipeline
             .submit_reports(&[Report::Expand(0), Report::Expand(1)])
             .unwrap();
@@ -952,8 +892,8 @@ mod tests {
         // resubmit identical frames on purpose): no validation, so the
         // validation counters never move. The queue-depth metrics do —
         // both submit flavors share the frame queue.
-        let (merged, stats) = pipeline.finish_with_stats().unwrap();
-        assert_eq!(merged.reports(), 2);
+        let (merged, stats) = pipeline.finish_accounted();
+        assert_eq!(merged.unwrap().reports(), 2);
         assert_eq!(stats.accepted_reports, 0);
         assert_eq!(stats.rejected_frames, 0);
         assert_eq!(stats.duplicate_reports, 0);
@@ -965,17 +905,7 @@ mod tests {
         let spec = spec(2);
         // One deliberately slow consumer behind a 1-deep queue: concurrent
         // producers must stall and the high-water mark must hit capacity.
-        let pipeline = Arc::new(
-            IngestPipeline::for_round(
-                &spec,
-                eps(),
-                IngestConfig {
-                    workers: 1,
-                    queue_capacity: 1,
-                },
-            )
-            .unwrap(),
-        );
+        let pipeline = Arc::new(pipeline(&spec, 1, 1, None));
         std::thread::scope(|s| {
             for _ in 0..2 {
                 let pipeline = Arc::clone(&pipeline);
@@ -986,11 +916,8 @@ mod tests {
                 });
             }
         });
-        let (merged, stats) = Arc::into_inner(pipeline)
-            .unwrap()
-            .finish_with_stats()
-            .unwrap();
-        assert_eq!(merged.reports(), 100);
+        let (merged, stats) = Arc::into_inner(pipeline).unwrap().finish_accounted();
+        assert_eq!(merged.unwrap().reports(), 100);
         assert_eq!(stats.queue_high_water, 1);
         assert!(
             stats.backpressure_stalls > 0,

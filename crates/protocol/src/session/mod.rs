@@ -34,6 +34,7 @@ mod snapshot;
 
 pub use snapshot::SNAPSHOT_VERSION;
 
+use crate::chaos::FaultPlan;
 use crate::config::{BaselineConfig, PrivShapeConfig};
 use crate::error::{Error, Result};
 use crate::ingest::{IngestConfig, IngestPipeline, IngestStats};
@@ -126,6 +127,9 @@ pub struct Session {
     candidates_per_level: Vec<usize>,
     output: Option<Output>,
     ingest: IngestStats,
+    /// Fault-injection hook passed to every ingest pipeline; `None` in
+    /// production and never serialized into snapshots.
+    chaos: Option<Arc<FaultPlan>>,
     started: Instant,
 }
 
@@ -170,6 +174,7 @@ impl Session {
             candidates_per_level: Vec::new(),
             output: None,
             ingest: IngestStats::default(),
+            chaos: None,
             started: Instant::now(),
         })
     }
@@ -222,6 +227,7 @@ impl Session {
             candidates_per_level: Vec::new(),
             output: None,
             ingest: IngestStats::default(),
+            chaos: None,
             started: Instant::now(),
         })
     }
@@ -274,30 +280,35 @@ impl Session {
     /// number of producers), and [`IngestPipeline::finish`] hands back the
     /// single tree-merged aggregate for [`Session::submit_shard`] —
     /// bit-identical to submitting the reports serially.
+    ///
+    /// The pipeline carries the session's fault plan, if one is installed
+    /// ([`Session::set_fault_plan`]).
     pub fn ingest_pipeline(&self, config: IngestConfig) -> Result<IngestPipeline> {
-        self.ingest_pipeline_chaos(config, None)
-    }
-
-    /// [`Session::ingest_pipeline`] with an optional
-    /// [`crate::FaultPlan`] chaos hook threaded through to
-    /// [`IngestPipeline::for_round_chaos`]; `None` is exactly
-    /// `ingest_pipeline`.
-    pub fn ingest_pipeline_chaos(
-        &self,
-        config: IngestConfig,
-        chaos: Option<std::sync::Arc<crate::FaultPlan>>,
-    ) -> Result<IngestPipeline> {
         let Some(open) = self.open.as_ref() else {
             return Err(Error::Protocol(
                 "no open round to build an ingest pipeline for".into(),
             ));
         };
-        IngestPipeline::for_round_chaos(&open.spec, self.params.epsilon, config, chaos)
+        IngestPipeline::for_round(&open.spec, self.params.epsilon, config, self.chaos.clone())
+    }
+
+    /// Installs (or, with `None`, removes) the [`FaultPlan`] every later
+    /// [`Session::ingest_pipeline`] consults — the chaos drill's entry
+    /// point. The plan is runtime state only: snapshots never carry it, so
+    /// a restored session starts without one.
+    pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
+        self.chaos = plan;
+    }
+
+    /// The installed fault plan, if any.
+    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
+        self.chaos.as_ref()
     }
 
     /// The client seed this session was configured with — the root of all
-    /// per-user randomness. Supervisors derive deterministic retry jitter
-    /// from it so a recovery schedule replays exactly under a fixed seed.
+    /// per-user randomness. A supervised registry derives deterministic
+    /// retry jitter from it so a recovery schedule replays exactly under a
+    /// fixed seed.
     pub fn seed(&self) -> u64 {
         match &self.origin {
             Origin::PrivShape(c) => c.seed,
@@ -306,7 +317,7 @@ impl Session {
     }
 
     /// Folds one round's sealed-frame validation counters
-    /// ([`IngestPipeline::finish_with_stats`]) into the session, so the
+    /// ([`IngestPipeline::finish_accounted`]) into the session, so the
     /// final [`crate::Diagnostics`] reports how much hostile input the run
     /// shed at the ingest boundary. Optional: sessions fed through the
     /// plain frame path have nothing to record.
@@ -437,40 +448,46 @@ impl Session {
         open.agg.merge(shard)
     }
 
+    /// Whether [`Session::finish`] (`labeled == false`) or
+    /// [`Session::finish_labeled`] (`labeled == true`) would succeed: `Ok`,
+    /// or the typed error it would return. Lets an owner that must not lose
+    /// the session on failure check before consuming it.
+    pub fn check_finish(&self, labeled: bool) -> Result<()> {
+        let msg = match (&self.output, labeled) {
+            (Some(Output::Unlabeled(_)), false) | (Some(Output::Labeled(_)), true) => return Ok(()),
+            (Some(Output::Labeled(_)), false) => "labeled session: call finish_labeled",
+            (Some(Output::Unlabeled(_)), true) => "unlabeled session: call finish",
+            (None, _) => "session not complete: drive next_round until it returns None",
+        };
+        Err(Error::Protocol(msg.into()))
+    }
+
     /// The unlabeled extraction, once [`Session::next_round`] has returned
     /// `None`.
     pub fn finish(self) -> Result<Extraction> {
+        self.check_finish(false)?;
         let diagnostics = self.diagnostics();
-        match self.output {
-            Some(Output::Unlabeled(shapes)) => Ok(Extraction {
-                shapes,
-                diagnostics,
-            }),
-            Some(Output::Labeled(_)) => Err(Error::Protocol(
-                "labeled session: call finish_labeled".into(),
-            )),
-            None => Err(Error::Protocol(
-                "session not complete: drive next_round until it returns None".into(),
-            )),
-        }
+        let Some(Output::Unlabeled(shapes)) = self.output else {
+            unreachable!("check_finish admitted an unlabeled output");
+        };
+        Ok(Extraction {
+            shapes,
+            diagnostics,
+        })
     }
 
     /// The labeled extraction, once [`Session::next_round`] has returned
     /// `None`.
     pub fn finish_labeled(self) -> Result<LabeledExtraction> {
+        self.check_finish(true)?;
         let diagnostics = self.diagnostics();
-        match self.output {
-            Some(Output::Labeled(classes)) => Ok(LabeledExtraction {
-                classes,
-                diagnostics,
-            }),
-            Some(Output::Unlabeled(_)) => {
-                Err(Error::Protocol("unlabeled session: call finish".into()))
-            }
-            None => Err(Error::Protocol(
-                "session not complete: drive next_round until it returns None".into(),
-            )),
-        }
+        let Some(Output::Labeled(classes)) = self.output else {
+            unreachable!("check_finish admitted a labeled output");
+        };
+        Ok(LabeledExtraction {
+            classes,
+            diagnostics,
+        })
     }
 
     // ---- internals ------------------------------------------------------

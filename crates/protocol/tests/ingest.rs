@@ -86,6 +86,7 @@ fn streamed(
             workers,
             queue_capacity: 4,
         },
+        None,
     )
     .unwrap();
     for frame in frames {
@@ -137,9 +138,10 @@ proptest! {
         prop_assert_eq!(merged, reference);
     }
 
-    /// Adversarial sealed-frame streams: replayed frames (every report a
-    /// user-id duplicate) and bit-flipped frames (checksum breaks) are
-    /// shed at the ingest boundary, so the final aggregate is
+    /// Adversarial sealed-frame streams: a report replayed inside its own
+    /// frame, replayed frames (every report a user-id duplicate) and
+    /// bit-flipped frames (checksum breaks) are shed at the ingest
+    /// boundary, so the final aggregate is
     /// bit-identical to the clean stream's — and the [`IngestStats`]
     /// counters account for exactly what was dropped.
     #[test]
@@ -162,18 +164,26 @@ proptest! {
             &spec,
             eps(),
             IngestConfig { workers, queue_capacity: 4 },
+            None,
         )
         .unwrap();
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(attack_seed);
         let mut expected_duplicates = 0u64;
         let mut expected_rejects = 0u64;
         for chunk in entries.chunks(frame_len) {
-            let frame = seal_frame(chunk);
+            let mut sent = chunk.to_vec();
+            if rng.random_bool(0.25) {
+                // Repeat one report inside its own frame: only the first
+                // copy counts.
+                sent.push(chunk[0].clone());
+                expected_duplicates += 1;
+            }
+            let frame = seal_frame(&sent);
             pipeline.submit_sealed_frame(&frame).unwrap();
             if rng.random_bool(0.5) {
                 // Replay the frame verbatim: every entry is a duplicate.
                 pipeline.submit_sealed_frame(&frame).unwrap();
-                expected_duplicates += chunk.len() as u64;
+                expected_duplicates += sent.len() as u64;
             }
             if rng.random_bool(0.5) {
                 // One bit flipped anywhere breaks the envelope.
@@ -184,8 +194,8 @@ proptest! {
                 expected_rejects += 1;
             }
         }
-        let (merged, stats) = pipeline.finish_with_stats().unwrap();
-        prop_assert_eq!(merged, reference);
+        let (merged, stats) = pipeline.finish_accounted();
+        prop_assert_eq!(merged.unwrap(), reference);
         prop_assert_eq!(stats.accepted_reports as usize, reports.len());
         prop_assert_eq!(stats.duplicate_reports, expected_duplicates);
         prop_assert_eq!(stats.rejected_frames, expected_rejects);
@@ -252,7 +262,8 @@ fn sealed_ingest_counters_surface_in_diagnostics() {
                     pipeline.submit_sealed_frame(&bad).unwrap();
                 }
             }
-            let (shard, stats) = pipeline.finish_with_stats().unwrap();
+            let (shard, stats) = pipeline.finish_accounted();
+            let shard = shard.unwrap();
             session.record_ingest_stats(&stats);
             session.submit_shard(&shard).unwrap();
         }

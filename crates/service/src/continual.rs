@@ -72,9 +72,10 @@ pub fn drive_epoch(
 mod tests {
     use super::*;
     use crate::registry::ServiceConfig;
+    use crate::tests::{drive_serial, series};
     use privshape_ldp::Epsilon;
     use privshape_protocol::{ContinualConfig, ContinualDriver, PrivShapeConfig};
-    use privshape_timeseries::{SaxParams, TimeSeries};
+    use privshape_timeseries::SaxParams;
 
     fn driver() -> ContinualDriver {
         let mut base =
@@ -91,41 +92,16 @@ mod tests {
         .unwrap()
     }
 
-    fn step_series(n: usize) -> Vec<TimeSeries> {
-        (0..n)
-            .map(|i| {
-                let jitter = (i % 10) as f64 * 1e-3;
-                let mut v = vec![-1.0 + jitter; 20];
-                v.extend(vec![1.0 + jitter; 20]);
-                TimeSeries::new(v).unwrap()
-            })
-            .collect()
-    }
-
-    /// Serial twin of one plan: the plain submit path, no service tier.
-    fn drive_serial(plan: &EpochPlan) -> Extraction {
-        let mut session = plan.session().unwrap();
-        let mut clients = plan.clients(&session);
-        while let Some(spec) = session.next_round().unwrap() {
-            let mut reports = Vec::new();
-            for c in clients.iter_mut() {
-                if let Some(r) = c.answer(&spec).unwrap() {
-                    reports.push(r);
-                }
-            }
-            session.submit(&reports).unwrap();
-        }
-        session.finish().unwrap()
-    }
-
     #[test]
     fn service_epochs_match_serial_twins_even_across_a_crash() {
         let mut d = driver();
         let registry = ServiceRegistry::new(ServiceConfig::default());
         for round in 0..3 {
-            d.observe(step_series(300));
+            d.observe(series(300));
             let plan = d.begin_epoch().unwrap();
-            let serial = drive_serial(&plan);
+            let session = plan.session().unwrap();
+            let mut clients = plan.clients(&session);
+            let serial = drive_serial(session, &mut clients);
             // Crash after a different round each epoch (None, 1, 2).
             let crash = (round > 0).then_some(round);
             let routed = drive_epoch(&registry, &plan, 16, crash).unwrap();

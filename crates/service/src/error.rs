@@ -34,8 +34,9 @@ pub enum ServiceError {
     /// [`ProtocolError::UnsupportedVersion`]).
     Session(ProtocolError),
     /// The session exhausted its recovery budget (repeated round failures
-    /// past the [`crate::RetryPolicy`] limits) and was removed from
-    /// service. Terminal for the session — every later call for its id
+    /// past the [`crate::RetryPolicy`] limits of a
+    /// [supervised](crate::ServiceRegistry::supervised) registry) and was
+    /// removed from service. Terminal for the session — every later call for its id
     /// gets this same error — but invisible to every other session:
     /// quarantine is the graceful-degradation boundary, not a service
     /// failure.

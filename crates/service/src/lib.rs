@@ -33,17 +33,22 @@
 //! any snapshot/restore point yields the same extraction as driving each
 //! session serially ([`service_smoke`'s] CI-gated claim).
 //!
-//! On top of the registry sits the fault-tolerance tier:
+//! Fault tolerance is a policy of the same registry, not a second type:
 //!
-//! * **Supervision** — [`Supervisor`] wraps the registry with
+//! * **Supervision** — [`ServiceRegistry::supervised`] adds
 //!   round-boundary checkpoints, a bounded per-round frame journal, and a
-//!   recovery loop (evict → restore → re-drive) under a typed
-//!   [`RetryPolicy`] (bounded attempts, exponential backoff with
-//!   deterministic jitter, lifetime failure budget);
+//!   recovery loop (restore the newest valid checkpoint in place →
+//!   re-drive the journal) under a typed [`RetryPolicy`] (bounded
+//!   attempts, exponential backoff with deterministic jitter, lifetime
+//!   failure budget);
 //! * **Graceful degradation** — sessions that exhaust their budget are
 //!   [quarantined](ServiceError::Quarantined) with a typed error while
 //!   every other session keeps progressing; recovered extractions stay
-//!   bit-identical to fault-free twins (the CI-gated `chaos_smoke` claim).
+//!   bit-identical to fault-free twins (the CI-gated `chaos_smoke` claim);
+//! * **Fault injection** — a [`privshape_protocol::FaultPlan`] installed
+//!   on a session ([`privshape_protocol::Session::set_fault_plan`]) before
+//!   [`ServiceRegistry::admit`] reaches every round's pipeline and
+//!   checkpoint, so chaos drills drive the production API unchanged.
 //!
 //! The continual extraction mode rides on the same registry:
 //! [`drive_epoch`] turns one planned epoch
@@ -63,22 +68,22 @@
 pub mod continual;
 mod error;
 mod policy;
+mod recovery;
 mod registry;
-mod supervisor;
 
 pub use continual::drive_epoch;
 pub use error::{Result, ServiceError};
 pub use policy::RetryPolicy;
+pub use recovery::{QuarantineReport, RecoveryStats, CHECKPOINT_DEPTH};
 pub use registry::{ServiceConfig, ServiceRegistry};
-pub use supervisor::{QuarantineReport, RecoveryStats, Supervisor, CHECKPOINT_DEPTH};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use privshape_ldp::Epsilon;
     use privshape_protocol::{
-        route_frame, seal_frame, Error as ProtocolError, GroupAssignment, PrivShapeConfig, Report,
-        RoundSpec, Session, UserClient, ROUTED_VERSION,
+        route_frame, seal_frame, Error as ProtocolError, Extraction, GroupAssignment,
+        PrivShapeConfig, Report, RoundSpec, Session, UserClient, ROUTED_VERSION,
     };
     use privshape_timeseries::{SaxParams, TimeSeries};
 
@@ -90,7 +95,7 @@ mod tests {
         cfg
     }
 
-    fn series(n: usize) -> Vec<TimeSeries> {
+    pub(crate) fn series(n: usize) -> Vec<TimeSeries> {
         (0..n)
             .map(|i| {
                 let jitter = (i % 10) as f64 * 1e-3;
@@ -132,25 +137,30 @@ mod tests {
             .collect()
     }
 
+    fn serial(cfg: PrivShapeConfig, data: &[TimeSeries]) -> Extraction {
+        let s = Session::privshape(cfg, data.len()).unwrap();
+        let mut cs = clients(&s, data);
+        drive_serial(s, &mut cs)
+    }
+
+    /// Serial twin: the plain submit path, no service tier.
+    pub(crate) fn drive_serial(mut s: Session, cs: &mut [UserClient]) -> Extraction {
+        while let Some(spec) = s.next_round().unwrap() {
+            let mut reports = Vec::new();
+            for c in cs.iter_mut() {
+                if let Some(r) = c.answer(&spec).unwrap() {
+                    reports.push(r);
+                }
+            }
+            s.submit(&reports).unwrap();
+        }
+        s.finish().unwrap()
+    }
+
     #[test]
     fn interleaved_sessions_match_serial_twins() {
         let data_a = series(400);
         let data_b = series(300);
-        // Serial twins: plain submit path, one session at a time.
-        let serial = |cfg: PrivShapeConfig, data: &[TimeSeries]| {
-            let mut s = Session::privshape(cfg, data.len()).unwrap();
-            let mut cs = clients(&s, data);
-            while let Some(spec) = s.next_round().unwrap() {
-                let mut reports = Vec::new();
-                for c in cs.iter_mut() {
-                    if let Some(r) = c.answer(&spec).unwrap() {
-                        reports.push(r);
-                    }
-                }
-                s.submit(&reports).unwrap();
-            }
-            s.finish().unwrap()
-        };
         let expected_a = serial(config(7), &data_a);
         let expected_b = serial(config(8), &data_b);
 
@@ -282,21 +292,7 @@ mod tests {
     #[test]
     fn snapshot_evict_restore_continues_bit_identically() {
         let data = series(500);
-        // Uninterrupted twin.
-        let twin = {
-            let mut s = Session::privshape(config(5), data.len()).unwrap();
-            let mut cs = clients(&s, &data);
-            while let Some(spec) = s.next_round().unwrap() {
-                let mut reports = Vec::new();
-                for c in cs.iter_mut() {
-                    if let Some(r) = c.answer(&spec).unwrap() {
-                        reports.push(r);
-                    }
-                }
-                s.submit(&reports).unwrap();
-            }
-            s.finish().unwrap()
-        };
+        let twin = serial(config(5), &data);
 
         let registry = ServiceRegistry::new(ServiceConfig::default());
         let session = Session::privshape(config(5), data.len()).unwrap();
@@ -337,6 +333,39 @@ mod tests {
             registry.restore_session(&snap),
             Err(ServiceError::SessionCollision { .. })
         ));
+    }
+
+    #[test]
+    fn failed_finish_keeps_the_session_resident() {
+        // A refused finish (incomplete session, or the other kind) must
+        // leave the session resident: its spent budget is not refundable.
+        let data = series(300);
+        let twin = serial(config(4), &data);
+        for registry in [
+            ServiceRegistry::new(ServiceConfig::default()),
+            ServiceRegistry::supervised(ServiceConfig::default(), RetryPolicy::default()),
+        ] {
+            let session = Session::privshape(config(4), data.len()).unwrap();
+            let mut cs = clients(&session, &data);
+            let id = registry.admit(session).unwrap();
+            let refused =
+                |e: Result<_>| matches!(e, Err(ServiceError::Session(ProtocolError::Protocol(_))));
+            while let Some(spec) = registry.begin_round(id).unwrap() {
+                assert!(
+                    refused(registry.finish(id).map(drop)),
+                    "finish mid-protocol"
+                );
+                let generation = registry.session_generation(id).unwrap();
+                for frame in routed_frames(&mut cs, &spec, id, generation, 9) {
+                    registry.route_frame(&frame).unwrap();
+                }
+                registry.close_round(id).unwrap();
+            }
+            assert!(refused(registry.finish_labeled(id).map(drop)), "wrong kind");
+            assert_eq!(registry.active_sessions(), 1, "refused finish kept it");
+            assert_eq!(registry.finish(id).unwrap().shapes, twin.shapes);
+            assert_eq!(registry.active_sessions(), 0);
+        }
     }
 
     #[test]

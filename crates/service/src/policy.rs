@@ -3,9 +3,10 @@
 use privshape_protocol::wire::fnv1a64;
 use std::time::Duration;
 
-/// How a [`crate::Supervisor`] prices failure: how often it retries, how
-/// long it waits between attempts, and how much lifetime failure one
-/// session may consume before it is quarantined.
+/// How a [supervised](crate::ServiceRegistry::supervised) registry prices
+/// failure: how often it retries, how long it waits between attempts, and
+/// how much lifetime failure one session may consume before it is
+/// quarantined.
 ///
 /// Two budgets on purpose. `max_attempts` bounds one *incident* (a failed
 /// round and its recovery retries); `failure_budget` bounds the session's

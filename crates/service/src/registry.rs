@@ -1,9 +1,12 @@
-//! The service registry: admission, routing, and session multiplexing.
+//! The service registry: admission, routing, session multiplexing and,
+//! on a supervised registry, recovery.
 
 use crate::error::{Result, ServiceError};
+use crate::policy::RetryPolicy;
+use crate::recovery::{QuarantineReport, Recovery, RecoveryStats};
 use privshape_protocol::wire::{put_varint, read_varint};
 use privshape_protocol::{
-    Error as ProtocolError, Extraction, FaultPlan, IngestConfig, IngestPipeline, IngestStats,
+    Error as ProtocolError, Extraction, IngestConfig, IngestPipeline, IngestStats,
     LabeledExtraction, RoundSpec, RoutedFrame, Session,
 };
 use std::collections::{HashMap, VecDeque};
@@ -42,11 +45,107 @@ struct RouteState {
 /// One resident session. The two locks split the hot path from the cold
 /// path: `route` is held for nanoseconds per frame (generation check +
 /// `Arc` clone), while `driver` serializes the once-per-round state
-/// machine transitions.
+/// machine transitions. `recovery` exists on a supervised registry only;
+/// where it does, it is locked before `driver`, and `driver` before
+/// `route`.
 #[derive(Debug)]
-struct Slot {
+pub(crate) struct Slot {
     driver: Mutex<Session>,
     route: Mutex<RouteState>,
+    recovery: Option<Mutex<Recovery>>,
+}
+
+impl Slot {
+    /// Opens `session`'s next round (the caller holds its `driver` lock) and
+    /// stands up the round's ingest pipeline; clears the route when the
+    /// protocol is complete.
+    pub(crate) fn open_round(
+        &self,
+        session: &mut Session,
+        ingest: IngestConfig,
+    ) -> Result<Option<RoundSpec>> {
+        let spec = session.next_round()?;
+        let pipeline = match spec {
+            Some(_) => Some(Arc::new(session.ingest_pipeline(ingest)?)),
+            None => None,
+        };
+        *self.route.lock().expect("route lock") = RouteState {
+            generation: session.round_generation(),
+            pipeline,
+        };
+        Ok(spec)
+    }
+
+    /// Checks the frame's generation against the open round and submits
+    /// its payload to the round's pipeline.
+    pub(crate) fn deliver(&self, routed: &RoutedFrame) -> Result<()> {
+        let pipeline = {
+            let route = self.route.lock().expect("route lock");
+            let (Some(generation), Some(pipeline)) = (route.generation, &route.pipeline) else {
+                return Err(ServiceError::NoOpenRound {
+                    session_id: routed.session_id,
+                });
+            };
+            routed.check_session(Some(generation))?;
+            Arc::clone(pipeline)
+        };
+        // Submit outside every lock: a full queue blocks only this
+        // producer, and only on this session.
+        pipeline.submit_sealed_frame(routed.payload)?;
+        Ok(())
+    }
+
+    /// Drains the open round's pipeline into `session` (the caller holds
+    /// its `driver` lock); see [`ServiceRegistry::close_round`].
+    pub(crate) fn close_round(&self, id: u64, session: &mut Session) -> Result<()> {
+        let pipeline = {
+            let mut route = self.route.lock().expect("route lock");
+            route.generation = None;
+            route
+                .pipeline
+                .take()
+                .ok_or(ServiceError::NoOpenRound { session_id: id })?
+        };
+        // Producers only briefly hold clones (between the route-lock
+        // release and submit); with the generation retired no new clone
+        // can appear, so uniqueness is moments away.
+        let (result, stats) = unwrap_unique(pipeline).finish_accounted();
+        // Fold the round's counters in even when it failed: the session's
+        // health metrics (worker panics above all) must survive a crashed
+        // round so recovery and diagnostics see *why* it died.
+        session.record_ingest_stats(&stats);
+        let shard = result?;
+        if shard.reports() > 0 {
+            session.submit_shard(&shard)?;
+        }
+        Ok(())
+    }
+
+    /// Refuses while a round is open: its pipeline holds in-flight frames
+    /// no snapshot could capture.
+    fn check_between_rounds(&self, id: u64) -> Result<()> {
+        if self.route.lock().expect("route lock").pipeline.is_some() {
+            return Err(ServiceError::Session(ProtocolError::Protocol(format!(
+                "session {id} has an open ingest pipeline; close the round before \
+                 snapshotting"
+            ))));
+        }
+        Ok(())
+    }
+}
+
+/// Takes the value out of `arc` once every transient clone is dropped.
+/// Callers first unpublish the `Arc`, so no new clone can appear.
+fn unwrap_unique<T>(mut arc: Arc<T>) -> T {
+    loop {
+        match Arc::try_unwrap(arc) {
+            Ok(inner) => return inner,
+            Err(shared) => {
+                arc = shared;
+                std::thread::yield_now();
+            }
+        }
+    }
 }
 
 /// A long-lived aggregation service multiplexing many concurrent
@@ -61,37 +160,66 @@ struct Slot {
 /// [restored](Self::restore_session) under its original id, continuing
 /// bit-identically.
 ///
+/// Recovery is a policy, not a second API: a
+/// [`supervised`](Self::supervised) registry checkpoints, journals and
+/// recovers failed rounds in place (or quarantines the session); one built
+/// with [`new`](Self::new) pays nothing for it.
+///
 /// All methods take `&self`; the registry is `Sync` and producers on any
 /// number of threads may route frames concurrently with other sessions'
 /// round transitions.
 #[derive(Debug)]
 pub struct ServiceRegistry {
     config: ServiceConfig,
+    /// `Some` on a supervised registry: every resident session then
+    /// carries recovery state in its slot.
+    policy: Option<RetryPolicy>,
     sessions: Mutex<HashMap<u64, Arc<Slot>>>,
-    /// Round-robin cursor over resident session ids (fair scheduling).
+    /// Round-robin cursor over resident session ids (fair scheduling):
+    /// holds each resident id exactly once, and is only changed under the
+    /// `sessions` lock.
     rotation: Mutex<VecDeque<u64>>,
     /// Next id to assign; monotone across evictions and restores.
     next_id: Mutex<u64>,
+    /// Sessions a supervised registry gave up on, consulted only when a
+    /// lookup misses.
+    quarantine: Mutex<HashMap<u64, QuarantineReport>>,
 }
 
 impl ServiceRegistry {
-    /// An empty registry.
+    /// An empty registry without supervision: failures surface as typed
+    /// errors and nothing is checkpointed or journaled.
     pub fn new(config: ServiceConfig) -> Self {
         Self {
             config,
+            policy: None,
             sessions: Mutex::new(HashMap::new()),
             rotation: Mutex::new(VecDeque::new()),
             next_id: Mutex::new(1),
+            quarantine: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Number of sessions currently resident.
+    /// An empty supervised registry: round-boundary checkpoints, a bounded
+    /// per-round frame journal, and in-place recovery of failed rounds
+    /// under `policy` (`max_attempts` is raised to at least 1).
+    pub fn supervised(config: ServiceConfig, mut policy: RetryPolicy) -> Self {
+        policy.max_attempts = policy.max_attempts.max(1);
+        Self {
+            policy: Some(policy),
+            ..Self::new(config)
+        }
+    }
+
+    /// Number of sessions currently resident (quarantined ones are not).
     pub fn active_sessions(&self) -> usize {
         self.sessions.lock().expect("sessions lock").len()
     }
 
     /// Admits a session, assigning it a fresh service-wide id — the id
-    /// producers must put on every routed frame for it.
+    /// producers must put on every routed frame for it. A fault plan
+    /// installed on the session ([`Session::set_fault_plan`]) rides along
+    /// into every round's pipeline and, when supervised, every checkpoint.
     ///
     /// # Errors
     ///
@@ -118,42 +246,59 @@ impl ServiceRegistry {
         if sessions.contains_key(&id) {
             return Err(ServiceError::SessionCollision { session_id: id });
         }
+        let recovery = self
+            .policy
+            .map(|policy| Mutex::new(Recovery::new(policy, session.seed())));
         sessions.insert(
             id,
             Arc::new(Slot {
                 driver: Mutex::new(session),
                 route: Mutex::new(RouteState::default()),
+                recovery,
             }),
         );
         self.rotation.lock().expect("rotation lock").push_back(id);
         Ok(())
     }
 
+    /// Removes `id` from the resident set and the rotation.
+    fn unlist(&self, id: u64) -> Option<Arc<Slot>> {
+        let mut sessions = self.sessions.lock().expect("sessions lock");
+        let slot = sessions.remove(&id)?;
+        self.rotation
+            .lock()
+            .expect("rotation lock")
+            .retain(|&resident| resident != id);
+        Some(slot)
+    }
+
     fn slot(&self, id: u64) -> Result<Arc<Slot>> {
-        self.sessions
+        let slot = self
+            .sessions
             .lock()
             .expect("sessions lock")
             .get(&id)
-            .cloned()
-            .ok_or(ServiceError::Session(ProtocolError::UnknownSession {
-                session_id: id,
-            }))
+            .cloned();
+        slot.ok_or_else(|| self.missing(id))
+    }
+
+    /// The error for an id with no resident slot: its quarantine, if a
+    /// supervised registry gave up on it, else an unknown session.
+    fn missing(&self, id: u64) -> ServiceError {
+        match self.quarantine.lock().expect("quarantine lock").get(&id) {
+            Some(report) => report.to_error(),
+            None => ServiceError::Session(ProtocolError::UnknownSession { session_id: id }),
+        }
     }
 
     /// The next session id in fair round-robin order, if any are resident.
     /// Each call advances the rotation, so interleaving drivers that pull
     /// ids from here give every session equal turns.
     pub fn next_session(&self) -> Option<u64> {
-        let sessions = self.sessions.lock().expect("sessions lock");
         let mut rotation = self.rotation.lock().expect("rotation lock");
-        while let Some(id) = rotation.pop_front() {
-            if sessions.contains_key(&id) {
-                rotation.push_back(id);
-                return Some(id);
-            }
-            // Evicted or finished since last rotation: drop the stale id.
-        }
-        None
+        let id = rotation.pop_front()?;
+        rotation.push_back(id);
+        Some(id)
     }
 
     /// The generation tag producers must stamp on routed frames for this
@@ -172,37 +317,21 @@ impl ServiceRegistry {
     /// Returns the broadcast (to be distributed to that session's users),
     /// or `None` when the protocol is complete (then call
     /// [`finish`](Self::finish) / [`finish_labeled`](Self::finish_labeled)).
+    ///
+    /// A supervised registry first stores the boundary checkpoint, so it
+    /// refuses while a round is still open.
     pub fn begin_round(&self, id: u64) -> Result<Option<RoundSpec>> {
-        self.begin_round_chaos(id, None)
-    }
-
-    /// [`begin_round`](Self::begin_round) with an optional
-    /// [`FaultPlan`] chaos hook installed on the round's ingest pipeline
-    /// (see [`privshape_protocol::chaos`]). `None` is exactly
-    /// `begin_round`; the registry itself stores no chaos state — a
-    /// supervisor re-passes the session's plan each round.
-    pub fn begin_round_chaos(
-        &self,
-        id: u64,
-        chaos: Option<Arc<FaultPlan>>,
-    ) -> Result<Option<RoundSpec>> {
         let slot = self.slot(id)?;
+        let mut recovery = slot
+            .recovery
+            .as_ref()
+            .map(|r| r.lock().expect("recovery lock"));
         let mut session = slot.driver.lock().expect("driver lock");
-        let spec = session.next_round()?;
-        let mut route = slot.route.lock().expect("route lock");
-        match &spec {
-            Some(_) => {
-                route.generation = session.round_generation();
-                route.pipeline = Some(Arc::new(
-                    session.ingest_pipeline_chaos(self.config.ingest, chaos)?,
-                ));
-            }
-            None => {
-                route.generation = None;
-                route.pipeline = None;
-            }
+        if let Some(recovery) = recovery.as_mut() {
+            slot.check_between_rounds(id)?;
+            recovery.checkpoint(&session);
         }
-        Ok(spec)
+        slot.open_round(&mut session, self.config.ingest)
     }
 
     /// Routes one wire envelope ([`privshape_protocol::route_frame`]) to
@@ -215,7 +344,8 @@ impl ServiceRegistry {
     /// * malformed or wrong-version envelope —
     ///   [`ProtocolError::Protocol`] / [`ProtocolError::UnsupportedVersion`];
     /// * a session id the registry does not know —
-    ///   [`ProtocolError::UnknownSession`];
+    ///   [`ProtocolError::UnknownSession`] ([`ServiceError::Quarantined`]
+    ///   for a quarantined one);
     /// * a generation tag that does not match the session's current round
     ///   (e.g. a producer still answering against a superseded candidate
     ///   table) — [`ProtocolError::StaleGeneration`];
@@ -226,33 +356,24 @@ impl ServiceRegistry {
     /// and the call still returns `Ok(())`, exactly like direct sealed
     /// submission.
     ///
+    /// A supervised registry also journals the frame for re-drive,
+    /// retransmits injected in-transit drops
+    /// ([`ProtocolError::FaultInjected`]) under its backoff, and accepts
+    /// frames for a round already poisoned (the round is recovered
+    /// wholesale when it closes).
+    ///
     /// Blocks when the session's frame queue is full (per-session
     /// backpressure); frames for other sessions are unaffected.
     pub fn route_frame(&self, envelope: &[u8]) -> Result<()> {
         let routed = RoutedFrame::decode(envelope)?;
-        let slot = {
-            let sessions = self.sessions.lock().expect("sessions lock");
-            sessions.get(&routed.session_id).cloned()
-        };
-        let Some(slot) = slot else {
-            return Err(ServiceError::Session(ProtocolError::UnknownSession {
-                session_id: routed.session_id,
-            }));
-        };
-        let pipeline = {
-            let route = slot.route.lock().expect("route lock");
-            let (Some(generation), Some(pipeline)) = (route.generation, &route.pipeline) else {
-                return Err(ServiceError::NoOpenRound {
-                    session_id: routed.session_id,
-                });
-            };
-            routed.check_session(Some(generation))?;
-            Arc::clone(pipeline)
-        };
-        // Submit outside every lock: a full queue blocks only this
-        // producer, and only on this session.
-        pipeline.submit_sealed_frame(routed.payload)?;
-        Ok(())
+        let slot = self.slot(routed.session_id)?;
+        match &slot.recovery {
+            None => slot.deliver(&routed),
+            Some(recovery) => recovery
+                .lock()
+                .expect("recovery lock")
+                .route(&slot, &routed, envelope),
+        }
     }
 
     /// Closes the session's open round: drains its pipeline, merges the
@@ -263,68 +384,72 @@ impl ServiceRegistry {
     /// generation is retired here; late frames get
     /// [`ProtocolError::StaleGeneration`] on their next
     /// [`route_frame`](Self::route_frame)).
+    ///
+    /// On a supervised registry a failed round is recovered before this
+    /// returns `Ok`, or the session is quarantined and this returns
+    /// [`ServiceError::Quarantined`].
     pub fn close_round(&self, id: u64) -> Result<()> {
         let slot = self.slot(id)?;
+        let mut recovery = slot
+            .recovery
+            .as_ref()
+            .map(|r| r.lock().expect("recovery lock"));
         let mut session = slot.driver.lock().expect("driver lock");
-        let pipeline = {
-            let mut route = slot.route.lock().expect("route lock");
-            route.generation = None;
-            match route.pipeline.take() {
-                Some(p) => p,
-                None => return Err(ServiceError::NoOpenRound { session_id: id }),
-            }
-        };
-        // Producers only briefly hold clones (between the route-lock
-        // release and submit); with the generation retired no new clone
-        // can appear, so uniqueness is moments away.
-        let mut pipeline = Some(pipeline);
-        let pipeline = loop {
-            match Arc::try_unwrap(pipeline.take().expect("pipeline present")) {
-                Ok(p) => break p,
-                Err(shared) => {
-                    pipeline = Some(shared);
-                    std::thread::yield_now();
-                }
-            }
-        };
-        let (result, stats) = pipeline.finish_accounted();
-        // Fold the round's counters in even when it failed: the session's
-        // health metrics (worker panics above all) must survive a crashed
-        // round so supervisors and diagnostics see *why* it died.
-        session.record_ingest_stats(&stats);
-        let shard = result?;
-        if shard.reports() > 0 {
-            session.submit_shard(&shard)?;
+        match (slot.close_round(id, &mut session), recovery.as_mut()) {
+            (Err(cause), Some(recovery)) => recovery
+                .recover(id, &slot, &mut session, self.config.ingest, cause)
+                .map_err(|report| self.quarantine(report)),
+            (result, _) => result,
         }
-        Ok(())
+    }
+
+    /// Terminal exit: records the report (first, so a lookup that misses
+    /// the slot finds it), drops the session, and returns the typed error.
+    /// Healthy sessions never notice.
+    fn quarantine(&self, report: QuarantineReport) -> ServiceError {
+        let id = report.session_id;
+        let err = report.to_error();
+        self.quarantine
+            .lock()
+            .expect("quarantine lock")
+            .insert(id, report);
+        self.unlist(id);
+        err
     }
 
     /// Removes the session and returns its unlabeled extraction. The id
     /// is retired; late frames for it get
-    /// [`ProtocolError::UnknownSession`].
+    /// [`ProtocolError::UnknownSession`]. An incomplete or labeled session
+    /// stays resident and gets the typed error.
     pub fn finish(&self, id: u64) -> Result<Extraction> {
-        Ok(self.remove(id)?.finish()?)
+        Ok(self.remove_finished(id, false)?.finish()?)
     }
 
-    /// Removes the session and returns its labeled extraction.
+    /// Removes the session and returns its labeled extraction. An
+    /// incomplete or unlabeled session stays resident and gets the typed
+    /// error.
     pub fn finish_labeled(&self, id: u64) -> Result<LabeledExtraction> {
-        Ok(self.remove(id)?.finish_labeled()?)
+        Ok(self.remove_finished(id, true)?.finish_labeled()?)
     }
 
-    fn remove(&self, id: u64) -> Result<Session> {
-        let slot =
-            {
-                let mut sessions = self.sessions.lock().expect("sessions lock");
-                sessions.remove(&id).ok_or(ServiceError::Session(
-                    ProtocolError::UnknownSession { session_id: id },
-                ))?
-            };
-        let slot = Arc::try_unwrap(slot).map_err(|_| ServiceError::SessionCollision {
-            // A routed frame is mid-flight for this session; the caller
-            // must quiesce producers before finishing it.
-            session_id: id,
-        })?;
-        Ok(slot.driver.into_inner().expect("driver lock"))
+    /// Removes a session that [`Session::finish`] (or, with `labeled`,
+    /// [`Session::finish_labeled`]) will accept. The check runs under the
+    /// `driver` lock before removal, so a session that would fail it stays
+    /// resident with its spent budget.
+    fn remove_finished(&self, id: u64, labeled: bool) -> Result<Session> {
+        let slot = self.slot(id)?;
+        let removed = {
+            let session = slot.driver.lock().expect("driver lock");
+            session.check_finish(labeled)?;
+            self.unlist(id)
+        };
+        drop(slot);
+        // `None`: a concurrent finish won the race.
+        let slot = removed.ok_or_else(|| self.missing(id))?;
+        Ok(unwrap_unique(slot)
+            .driver
+            .into_inner()
+            .expect("driver lock"))
     }
 
     /// The session's accumulated ingest counters (accepted/rejected/
@@ -337,13 +462,38 @@ impl ServiceRegistry {
         Ok(session.ingest_stats())
     }
 
-    /// The client seed the session was configured with
-    /// ([`Session::seed`]) — supervisors derive deterministic retry
-    /// jitter from it.
-    pub fn session_seed(&self, id: u64) -> Result<u64> {
+    /// The session's recovery counters so far; all zero on a registry that
+    /// is not supervised. For a quarantined session read
+    /// [`quarantine_report`](Self::quarantine_report) instead.
+    pub fn recovery_stats(&self, id: u64) -> Result<RecoveryStats> {
         let slot = self.slot(id)?;
-        let session = slot.driver.lock().expect("driver lock");
-        Ok(session.seed())
+        let stats = slot
+            .recovery
+            .as_ref()
+            .map(|r| r.lock().expect("recovery lock").stats);
+        Ok(stats.unwrap_or_default())
+    }
+
+    /// The quarantine report for `id`, if it was quarantined.
+    pub fn quarantine_report(&self, id: u64) -> Option<QuarantineReport> {
+        self.quarantine
+            .lock()
+            .expect("quarantine lock")
+            .get(&id)
+            .cloned()
+    }
+
+    /// Ids of all quarantined sessions, ascending.
+    pub fn quarantined_sessions(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .quarantine
+            .lock()
+            .expect("quarantine lock")
+            .keys()
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Serializes one resident session into a crash-safe snapshot frame
@@ -353,15 +503,7 @@ impl ServiceRegistry {
     pub fn snapshot_session(&self, id: u64) -> Result<Vec<u8>> {
         let slot = self.slot(id)?;
         let session = slot.driver.lock().expect("driver lock");
-        {
-            let route = slot.route.lock().expect("route lock");
-            if route.pipeline.is_some() {
-                return Err(ServiceError::Session(ProtocolError::Protocol(format!(
-                    "session {id} has an open ingest pipeline; close the round before \
-                     snapshotting"
-                ))));
-            }
-        }
+        slot.check_between_rounds(id)?;
         let mut buf = Vec::new();
         put_varint(&mut buf, id);
         session.snapshot_into(&mut buf);
@@ -373,11 +515,7 @@ impl ServiceRegistry {
     /// latest [`snapshot_session`](Self::snapshot_session) bytes with
     /// [`restore_session`](Self::restore_session).
     pub fn evict_session(&self, id: u64) -> bool {
-        self.sessions
-            .lock()
-            .expect("sessions lock")
-            .remove(&id)
-            .is_some()
+        self.unlist(id).is_some()
     }
 
     /// Re-admits a session from [`snapshot_session`](Self::snapshot_session)

@@ -1,18 +1,18 @@
-//! Supervisor chaos tests: injected worker panics, checkpoint corruption,
-//! and stale replays are either recovered **bit-identically** to a
-//! fault-free twin or quarantined with a typed error — never a panic, a
-//! hang, or a silently wrong extraction.
+//! Supervised-registry chaos tests: injected worker panics, checkpoint
+//! corruption, and stale replays are either recovered **bit-identically**
+//! to a fault-free twin or quarantined with a typed error — never a panic,
+//! a hang, or a silently wrong extraction.
 //!
 //! Every test pairs a supervised chaos session with a fault-free twin
-//! driven through an identical supervisor over the same population, and
-//! compares the final extractions field by field.
+//! driven through an identically supervised registry over the same
+//! population, and compares the final extractions field by field.
 
 use privshape_ldp::Epsilon;
 use privshape_protocol::{
     route_frame, seal_frame, Error as ProtocolError, Extraction, FaultKind, FaultPlan,
     GroupAssignment, PrivShapeConfig, Report, RoundSpec, Session, UserClient,
 };
-use privshape_service::{RetryPolicy, ServiceConfig, ServiceError, Supervisor};
+use privshape_service::{RetryPolicy, ServiceConfig, ServiceError, ServiceRegistry};
 use privshape_timeseries::{SaxParams, TimeSeries};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -86,7 +86,7 @@ fn fast_policy() -> RetryPolicy {
 /// or the supervisor's typed error (e.g. quarantine). Also records how
 /// many frames each round produced, for pinning fault points to rounds.
 fn drive(
-    sup: &Supervisor,
+    sup: &ServiceRegistry,
     id: u64,
     cs: &mut [UserClient],
     frames_per_round: &mut Vec<usize>,
@@ -116,10 +116,23 @@ fn drive(
     }
 }
 
+/// Drives `rounds` rounds by hand, leaving the session resident so its
+/// counters can be read.
+fn drive_rounds(sup: &ServiceRegistry, id: u64, cs: &mut [UserClient], rounds: usize) {
+    for _ in 0..rounds {
+        let spec = sup.begin_round(id).unwrap().expect("round");
+        let generation = sup.session_generation(id).unwrap();
+        for frame in routed_frames(cs, &spec, id, generation) {
+            sup.route_frame(&frame).unwrap();
+        }
+        sup.close_round(id).unwrap();
+    }
+}
+
 /// Runs the fault-free twin and returns its extraction plus the frame
 /// count of every round (used to aim faults at specific rounds).
 fn twin(seed: u64, n: usize, data: &[TimeSeries]) -> (Extraction, Vec<usize>) {
-    let sup = Supervisor::new(ServiceConfig::default(), fast_policy());
+    let sup = ServiceRegistry::supervised(ServiceConfig::default(), fast_policy());
     let session = Session::privshape(config(seed), n).unwrap();
     let mut cs = clients(&session, data);
     let id = sup.admit(session).unwrap();
@@ -145,13 +158,14 @@ fn worker_panic_recovers_bit_identically() {
     let data = series(n);
     let (expected, _) = twin(9, n, &data);
 
-    let sup = Supervisor::new(ServiceConfig::default(), fast_policy());
-    let session = Session::privshape(config(9), n).unwrap();
+    let sup = ServiceRegistry::supervised(ServiceConfig::default(), fast_policy());
+    let mut session = Session::privshape(config(9), n).unwrap();
     let mut cs = clients(&session, &data);
     let plan = Arc::new(FaultPlan::new(vec![FaultKind::WorkerPanic {
         at_absorb: 3,
     }]));
-    let id = sup.admit_with_chaos(session, Some(plan.clone())).unwrap();
+    session.set_fault_plan(Some(plan.clone()));
+    let id = sup.admit(session).unwrap();
     let mut counts = Vec::new();
     let got = drive(&sup, id, &mut cs, &mut counts).unwrap();
 
@@ -164,23 +178,19 @@ fn worker_panic_recovers_bit_identically() {
 fn recovery_stats_count_the_incident() {
     let n = 260;
     let data = series(n);
-    let sup = Supervisor::new(ServiceConfig::default(), fast_policy());
-    let session = Session::privshape(config(9), n).unwrap();
+    let sup = ServiceRegistry::supervised(ServiceConfig::default(), fast_policy());
+    let mut session = Session::privshape(config(9), n).unwrap();
     let mut cs = clients(&session, &data);
     // Fire on the very first absorb, so round 1 is guaranteed to fail.
     let plan = Arc::new(FaultPlan::new(vec![FaultKind::WorkerPanic {
         at_absorb: 0,
     }]));
-    let id = sup.admit_with_chaos(session, Some(plan)).unwrap();
+    session.set_fault_plan(Some(plan));
+    let id = sup.admit(session).unwrap();
 
     // Drive just the first (faulted) round by hand so the session is
     // still resident when we read its counters.
-    let spec = sup.begin_round(id).unwrap().expect("round 1");
-    let generation = sup.session_generation(id).unwrap();
-    for frame in routed_frames(&mut cs, &spec, id, generation) {
-        sup.route_frame(&frame).unwrap();
-    }
-    sup.close_round(id).unwrap();
+    drive_rounds(&sup, id, &mut cs, 1);
 
     let stats = sup.recovery_stats(id).unwrap();
     assert_eq!(stats.recoveries, 1);
@@ -203,8 +213,8 @@ fn corrupted_checkpoint_falls_back_and_heals() {
         "need a 2nd round with frames"
     );
 
-    let sup = Supervisor::new(ServiceConfig::default(), fast_policy());
-    let session = Session::privshape(config(21), n).unwrap();
+    let sup = ServiceRegistry::supervised(ServiceConfig::default(), fast_policy());
+    let mut session = Session::privshape(config(21), n).unwrap();
     let mut cs = clients(&session, &data);
     // Corrupt the checkpoint taken at the round-2 boundary, then panic a
     // worker while round 2 is absorbing its second frame: the newest
@@ -219,17 +229,11 @@ fn corrupted_checkpoint_falls_back_and_heals() {
             at_absorb: counts[0] as u64 + 1,
         },
     ]));
-    let id = sup.admit_with_chaos(session, Some(plan.clone())).unwrap();
+    session.set_fault_plan(Some(plan.clone()));
+    let id = sup.admit(session).unwrap();
 
     // Drive up to the end of round 2 by hand to inspect counters.
-    for _ in 0..2 {
-        let spec = sup.begin_round(id).unwrap().expect("round");
-        let generation = sup.session_generation(id).unwrap();
-        for frame in routed_frames(&mut cs, &spec, id, generation) {
-            sup.route_frame(&frame).unwrap();
-        }
-        sup.close_round(id).unwrap();
-    }
+    drive_rounds(&sup, id, &mut cs, 2);
     let stats = sup.recovery_stats(id).unwrap();
     assert_eq!(stats.recoveries, 1);
     assert_eq!(stats.checkpoints_corrupted, 1);
@@ -256,13 +260,14 @@ fn replayed_pre_crash_frame_is_not_double_absorbed() {
     let (expected, counts) = twin(33, n, &data);
     assert!(counts.len() >= 3 && counts[1] >= 2, "need 3 rounds");
 
-    let sup = Supervisor::new(ServiceConfig::default(), fast_policy());
-    let session = Session::privshape(config(33), n).unwrap();
+    let sup = ServiceRegistry::supervised(ServiceConfig::default(), fast_policy());
+    let mut session = Session::privshape(config(33), n).unwrap();
     let mut cs = clients(&session, &data);
     let plan = Arc::new(FaultPlan::new(vec![FaultKind::WorkerPanic {
         at_absorb: counts[0] as u64 + 1,
     }]));
-    let id = sup.admit_with_chaos(session, Some(plan)).unwrap();
+    session.set_fault_plan(Some(plan));
+    let id = sup.admit(session).unwrap();
 
     // Round 1 (clean): keep one delivered envelope around, as a confused
     // producer would.
@@ -314,12 +319,11 @@ fn hopeless_session_quarantines_healthy_neighbor_survives() {
     let data = series(n);
     let (expected, _) = twin(5, n, &data);
 
-    let sup = Supervisor::new(ServiceConfig::default(), fast_policy());
-    let doomed = Session::privshape(config(77), n).unwrap();
+    let sup = ServiceRegistry::supervised(ServiceConfig::default(), fast_policy());
+    let mut doomed = Session::privshape(config(77), n).unwrap();
     let mut doomed_cs = clients(&doomed, &data);
-    let doomed_id = sup
-        .admit_with_chaos(doomed, Some(Arc::new(FaultPlan::storm(100_000))))
-        .unwrap();
+    doomed.set_fault_plan(Some(Arc::new(FaultPlan::storm(100_000))));
+    let doomed_id = sup.admit(doomed).unwrap();
     let healthy = Session::privshape(config(5), n).unwrap();
     let mut healthy_cs = clients(&healthy, &data);
     let healthy_id = sup.admit(healthy).unwrap();
@@ -365,7 +369,7 @@ fn hopeless_session_quarantines_healthy_neighbor_survives() {
 fn failure_budget_exhaustion_quarantines() {
     let n = 220;
     let data = series(n);
-    let sup = Supervisor::new(
+    let sup = ServiceRegistry::supervised(
         ServiceConfig::default(),
         RetryPolicy {
             failure_budget: 1,
@@ -375,12 +379,13 @@ fn failure_budget_exhaustion_quarantines() {
             journal_capacity: 4096,
         },
     );
-    let session = Session::privshape(config(13), n).unwrap();
+    let mut session = Session::privshape(config(13), n).unwrap();
     let mut cs = clients(&session, &data);
     // Under a 1-unit budget the first failed attempt consumes it all;
     // the very next attempt must cite the budget, not the attempt cap.
     let plan = Arc::new(FaultPlan::storm(100_000));
-    let id = sup.admit_with_chaos(session, Some(plan)).unwrap();
+    session.set_fault_plan(Some(plan));
+    let id = sup.admit(session).unwrap();
     let mut counts = Vec::new();
     let err = drive(&sup, id, &mut cs, &mut counts).unwrap_err();
     match err {
@@ -392,6 +397,62 @@ fn failure_budget_exhaustion_quarantines() {
         }
         other => panic!("expected Quarantined, got {other:?}"),
     }
+}
+
+/// Three rotation cycles each yield every resident id exactly once.
+fn assert_fair_rotation(registry: &ServiceRegistry, mut resident: Vec<u64>) {
+    resident.sort_unstable();
+    for _ in 0..3 {
+        let mut cycle: Vec<u64> = (0..resident.len())
+            .map(|_| registry.next_session().unwrap())
+            .collect();
+        cycle.sort_unstable();
+        assert_eq!(cycle, resident);
+    }
+}
+
+/// Each resident id holds one place in the round-robin rotation however
+/// often it was evicted and restored, or recovered: otherwise a flapping
+/// session would get more turns per cycle than its neighbours.
+#[test]
+fn rotation_holds_each_resident_once_per_cycle() {
+    let bare = ServiceRegistry::new(ServiceConfig::default());
+    let ids: Vec<u64> = (1..=2)
+        .map(|seed| bare.admit(Session::privshape(config(seed), 100).unwrap()))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    for _ in 0..3 {
+        let snapshot = bare.snapshot_session(ids[0]).unwrap();
+        assert!(bare.evict_session(ids[0]));
+        assert_eq!(bare.restore_session(&snapshot).unwrap(), ids[0]);
+    }
+    assert_fair_rotation(&bare, ids);
+
+    // Supervised: two recovered incidents on one session. One ingest
+    // worker absorbs in submit order, so the panics land in rounds 1 and
+    // 2 (round 1 fails at its second frame after 2 absorbs, then its
+    // re-drive absorbs all of its frames).
+    let n = 260;
+    let data = series(n);
+    let (_, counts) = twin(9, n, &data);
+    let mut one_worker = ServiceConfig::default();
+    one_worker.ingest.workers = 1;
+    let sup = ServiceRegistry::supervised(one_worker, fast_policy());
+    let mut session = Session::privshape(config(9), n).unwrap();
+    let mut cs = clients(&session, &data);
+    session.set_fault_plan(Some(Arc::new(FaultPlan::new([
+        FaultKind::WorkerPanic { at_absorb: 1 },
+        FaultKind::WorkerPanic {
+            at_absorb: 2 + counts[0] as u64 + 1,
+        },
+    ]))));
+    let flapping = sup.admit(session).unwrap();
+    let healthy = sup
+        .admit(Session::privshape(config(5), n).unwrap())
+        .unwrap();
+    drive_rounds(&sup, flapping, &mut cs, 2);
+    assert_eq!(sup.recovery_stats(flapping).unwrap().recoveries, 2);
+    assert_fair_rotation(&sup, vec![flapping, healthy]);
 }
 
 proptest! {
@@ -409,12 +470,13 @@ proptest! {
         let data = series(n);
         let (expected, _) = twin(11, n, &data);
 
-        let sup = Supervisor::new(ServiceConfig::default(), fast_policy());
-        let session = Session::privshape(config(11), n).unwrap();
+        let sup = ServiceRegistry::supervised(ServiceConfig::default(), fast_policy());
+        let mut session = Session::privshape(config(11), n).unwrap();
         let mut cs = clients(&session, &data);
         let plan = Arc::new(FaultPlan::from_seed(seed));
         let scheduled = plan.scheduled();
-        let id = sup.admit_with_chaos(session, Some(plan)).unwrap();
+        session.set_fault_plan(Some(plan));
+        let id = sup.admit(session).unwrap();
         let mut counts = Vec::new();
         match drive(&sup, id, &mut cs, &mut counts) {
             Ok(got) => {
