@@ -240,6 +240,22 @@ fn routed_frames(
         .collect()
 }
 
+/// A well-formed report the round `spec` refuses: a selection past the
+/// candidate list, a sub-shape level past the trie height, a length past
+/// the range, or (labeled refinement) a wrong kind.
+fn refused_by(spec: &RoundSpec) -> Report {
+    match spec {
+        RoundSpec::Length { range, .. } => Report::Length(range.1 - range.0 + 1),
+        RoundSpec::SubShape { ell_s, .. } => Report::SubShape {
+            level: *ell_s,
+            value: 0,
+        },
+        RoundSpec::Expand { candidates, .. } => Report::Expand(candidates.len()),
+        RoundSpec::RefineUnlabeled { candidates, .. } => Report::RefineSelect(candidates.len()),
+        RoundSpec::RefineLabeled { .. } => Report::Expand(0),
+    }
+}
+
 fn main() {
     let ctx = ExpCtx::from_env(128_000, 1);
     let registry = ServiceRegistry::new(ServiceConfig {
@@ -322,6 +338,7 @@ fn main() {
     let started = Instant::now();
     let mut exercised_duplicates = 0u64;
     let mut exercised_corruptions = 0u64;
+    let mut exercised_refusals = 0u64;
     while registry.active_sessions() > 0 {
         // One pass over the rotation: every resident id exactly once.
         let wave: Vec<u64> = (0..registry.active_sessions())
@@ -353,6 +370,11 @@ fn main() {
                         corrupted[last] ^= 0xA5;
                         session_frames.push(corrupted);
                         exercised_corruptions += 1;
+                        // A well-formed, correctly sealed frame the round's
+                        // decoder refuses: rejected whole, never absorbed.
+                        let refused = seal_frame(&[(tenant.users, refused_by(&spec))]);
+                        session_frames.push(route_frame(id, generation, &refused));
+                        exercised_refusals += 1;
                     }
                     per_session.push(session_frames);
                     open.push(id);
@@ -480,13 +502,14 @@ fn main() {
 
     assert!(exercised_duplicates > 0, "duplicate replay never ran");
     assert!(exercised_corruptions > 0, "corruption probe never ran");
+    assert!(exercised_refusals > 0, "refused-report probe never ran");
     assert!(
         total_duplicates > 0,
         "replayed frames were not shed as duplicates"
     );
     assert!(
-        total_rejected >= exercised_corruptions,
-        "corrupted frames were not rejected"
+        total_rejected >= exercised_corruptions + exercised_refusals,
+        "corrupted or refused frames were not rejected"
     );
     assert_eq!(restored_sessions, 2, "both crash drills must run");
     assert_eq!(

@@ -25,7 +25,7 @@
 //! through both paths keeps the bit-identity assertion exact while the
 //! throughput numbers become stable enough to gate on.
 
-use privshape::protocol::{IngestConfig, Report, Session};
+use privshape::protocol::{IngestConfig, Report, Session, ShardAggregator};
 use privshape::{PrivShapeConfig, SimulatedFleet};
 use privshape_bench::ExpCtx;
 use privshape_datasets::{generate_symbols_like, SymbolsLikeConfig};
@@ -124,7 +124,8 @@ fn run_point(users: usize, eps: f64, seed: u64, workers: usize) -> Point {
             // Serial absorb path: one thread materializes every report,
             // then absorbs them in a single loop — the pre-streaming
             // aggregator on a serialized boundary.
-            let mut serial = session.shard_aggregator().expect("open round");
+            let mut serial =
+                ShardAggregator::for_round(&spec, session.params().epsilon).expect("valid round");
             let started = Instant::now();
             for frame in &frames {
                 let decoded = Report::decode_frame(frame).expect("valid frame");
@@ -141,7 +142,7 @@ fn run_point(users: usize, eps: f64, seed: u64, workers: usize) -> Point {
             for frame in &frames {
                 pipeline.submit_frame(frame.clone()).expect("pipeline open");
             }
-            let (streamed, stats) = pipeline.finish_accounted();
+            let (streamed, stats) = pipeline.finish();
             let streamed = streamed.expect("workers succeed");
             point.streaming_secs += started.elapsed().as_secs_f64();
             point.queue_high_water = point.queue_high_water.max(stats.queue_high_water);

@@ -260,7 +260,6 @@ fn drive_sealed(
         .enumerate()
         .map(|(u, s)| UserClient::new(u, s, &params))
         .collect();
-    let mut totals = IngestStats::default();
     while let Some(spec) = session.next_round().expect("protocol advances") {
         let entries: Vec<(usize, Report)> = clients
             .iter_mut()
@@ -284,12 +283,9 @@ fn drive_sealed(
                 pipeline.submit_sealed_frame(&bad).expect("pipeline open");
             }
         }
-        let (shard, stats) = pipeline.finish_accounted();
-        let shard = shard.expect("workers succeed");
-        totals.absorb(&stats);
-        session.record_ingest_stats(&stats);
-        session.submit_shard(&shard).expect("shards merge");
+        session.submit_pipeline(pipeline).expect("workers succeed");
     }
+    let totals = session.ingest_stats();
     (session.finish().expect("session complete"), totals)
 }
 

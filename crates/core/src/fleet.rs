@@ -125,7 +125,7 @@ impl SimulatedFleet {
         spec: &RoundSpec,
         session: &Session,
     ) -> Result<ShardAggregator> {
-        let template = session.shard_aggregator()?;
+        let template = ShardAggregator::for_round(spec, session.params().epsilon)?;
         for worker in &mut self.workers {
             worker.shard = Some(template.clone());
         }
@@ -196,7 +196,7 @@ mod tests {
         let mut collected = SimulatedFleet::new(&data, None, session.params(), 4);
         while let Some(spec) = session.next_round().unwrap() {
             let shard = overlapped.answer_into_shard(&spec, &session).unwrap();
-            let mut serial = session.shard_aggregator().unwrap();
+            let mut serial = ShardAggregator::for_round(&spec, session.params().epsilon).unwrap();
             for report in collected.answer(&spec).unwrap() {
                 serial.absorb(&report).unwrap();
             }

@@ -7,13 +7,15 @@
 //! worker threads, each of which owns a **private** [`ShardAggregator`]
 //! and absorbs frames through the allocation-free
 //! [`ShardAggregator::absorb_wire`] fast path. Closing the round
-//! ([`IngestPipeline::finish`]) drains the queue, joins the workers, and
-//! reduces the per-worker shards with [`ShardAggregator::merge_tree`].
+//! ([`crate::Session::submit_pipeline`]) drains the queue, joins the
+//! workers, and reduces the per-worker shards with
+//! [`ShardAggregator::merge_tree`]. There is one way in per transport:
 //!
 //! ```text
-//!  producers (submit_frame / submit_reports, any thread)
-//!      │  bounded queue of wire frames (backpressure when full)
-//!      ▼
+//!  submit_sealed_frame (untrusted): unseal, check every entry with the
+//!      │  round's own decoder, dedup users; a bad frame stops here
+//!      │  submit_frame (plain frames, trusted producers)
+//!      ▼  bounded queue of wire frames (backpressure when full)
 //!  worker 0 ──absorb_wire──► ShardAggregator 0 ─┐
 //!  worker 1 ──absorb_wire──► ShardAggregator 1 ─┤  merge_tree
 //!      ⋮                            ⋮           ├────────────► one
@@ -27,9 +29,9 @@
 //! to a single serial absorb of the same reports (pinned by the shuffled
 //! ingest property test and the streaming session-equivalence golden).
 //!
-//! **Failure.** A malformed frame (bad bytes, wrong kind, out-of-domain
-//! value) poisons the pipeline: the failing worker records its error and
-//! closes the queue, pending producers unblock with a typed
+//! **Failure.** A malformed *plain* frame (bad bytes, wrong kind,
+//! out-of-domain value) poisons the pipeline: the failing worker records
+//! its error and closes the queue, pending producers unblock with a typed
 //! [`Error::PipelinePoisoned`] **carrying the cause**, and
 //! [`IngestPipeline::finish`] surfaces the first worker error instead of
 //! a partial aggregate. Worker panics are caught at the thread boundary,
@@ -43,11 +45,12 @@
 
 use crate::chaos::{AbsorbAction, FaultPlan, SubmitAction};
 use crate::error::{Error, Result};
-use crate::round::{Report, RoundSpec};
+use crate::round::RoundSpec;
 use crate::shard::ShardAggregator;
 use crate::wire;
 use privshape_ldp::Epsilon;
 use std::collections::{HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -57,14 +60,15 @@ use std::thread::JoinHandle;
 /// [`crate::Diagnostics`].
 ///
 /// Plain-frame ingestion ([`IngestPipeline::submit_frame`]) bypasses this
-/// tier entirely and never moves the counters — validation is opt-in at
-/// the boundary that actually faces untrusted transport.
+/// tier and never moves the validation counters; the queue metrics cover
+/// both paths.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Reports accepted and forwarded to the worker pool.
     pub accepted_reports: u64,
     /// Whole frames dropped at the boundary: bad magic, checksum mismatch
-    /// (bit-flips in transit), or a structurally malformed body.
+    /// (bit-flips in transit), a malformed body, or any entry the round's
+    /// decoder refuses (wrong report kind, value outside the round).
     pub rejected_frames: u64,
     /// Reports dropped because their frame-declared user id had already
     /// reported in this round (one-report-per-user-per-round invariant).
@@ -296,9 +300,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Create one per open round ([`IngestPipeline::for_round`] or
 /// [`crate::Session::ingest_pipeline`]), feed it frames from any number of
-/// producer threads, then [`IngestPipeline::finish`] it into the single
-/// merged [`ShardAggregator`] to hand to
-/// [`crate::Session::submit_shard`].
+/// producer threads, then close it with
+/// [`crate::Session::submit_pipeline`], or [`IngestPipeline::finish`] it
+/// into the single merged [`ShardAggregator`] and its counters.
 ///
 /// # Example
 ///
@@ -322,9 +326,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// ).unwrap();
 /// // Frames arrive in any order, from any producer.
 /// for chunk in [[0usize, 1], [2, 2], [1, 0]] {
-///     pipeline.submit_reports(&chunk.map(Report::Expand)).unwrap();
+///     let mut frame = Vec::new();
+///     for selection in chunk {
+///         Report::Expand(selection).encode_into(&mut frame);
+///     }
+///     pipeline.submit_frame(frame).unwrap();
 /// }
-/// let merged = pipeline.finish().unwrap();
+/// let (merged, _stats) = pipeline.finish();
+/// let merged = merged.unwrap();
 /// assert_eq!(merged.reports(), 6);
 /// assert_eq!(merged.finalize_selections().unwrap(), vec![2.0, 2.0, 2.0]);
 /// ```
@@ -332,6 +341,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct IngestPipeline {
     queue: Arc<FrameQueue>,
     workers: Vec<JoinHandle<Result<ShardAggregator>>>,
+    /// An empty aggregate for the round: its decoder checks every sealed
+    /// entry before the entry is queued.
+    template: ShardAggregator,
     /// User ids that already reported this round, shared across all
     /// producers so a duplicate is caught no matter which thread (or
     /// which frame) replays it. Only the sealed-frame path consults it.
@@ -345,10 +357,10 @@ pub struct IngestPipeline {
 }
 
 impl IngestPipeline {
-    /// Spawns the worker pool for one round. Each worker builds its shard
-    /// aggregator from the spec alone (the same construction every shard
-    /// everywhere performs), so a spec the aggregator rejects fails here,
-    /// before any thread starts.
+    /// Spawns the worker pool for one round. Every worker's shard is a
+    /// copy of the round's empty aggregate, built from the spec alone (the
+    /// same construction every shard everywhere performs), so a spec the
+    /// aggregator rejects fails here, before any thread starts.
     ///
     /// `chaos` is the fault-injection hook, `None` in production: a plan
     /// is consulted before every sealed-frame submission and every worker
@@ -364,13 +376,11 @@ impl IngestPipeline {
         if config.queue_capacity == 0 {
             return Err(Error::Protocol("ingest queue capacity must be >= 1".into()));
         }
-        let shards: Vec<ShardAggregator> = (0..n_workers)
-            .map(|_| ShardAggregator::for_round(spec, epsilon))
-            .collect::<Result<_>>()?;
+        let template = ShardAggregator::for_round(spec, epsilon)?;
         let queue = Arc::new(FrameQueue::new(config.queue_capacity));
-        let workers = shards
-            .into_iter()
-            .map(|mut shard| {
+        let workers = (0..n_workers)
+            .map(|_| {
+                let mut shard = template.clone();
                 let queue = Arc::clone(&queue);
                 let chaos = chaos.clone();
                 std::thread::spawn(move || {
@@ -415,6 +425,7 @@ impl IngestPipeline {
         Ok(Self {
             queue,
             workers,
+            template,
             seen_users: Mutex::new(HashSet::new()),
             accepted_reports: AtomicU64::new(0),
             rejected_frames: AtomicU64::new(0),
@@ -423,23 +434,12 @@ impl IngestPipeline {
         })
     }
 
-    /// Submits one wire frame (concatenated [`Report::encode_into`]
-    /// encodings). Blocks when the queue is full; fails once the pipeline
-    /// is poisoned by a worker error.
+    /// Submits one plain wire frame (concatenated
+    /// [`Report::encode_into`](crate::Report::encode_into) encodings) from
+    /// a trusted producer: a bad report in it fails the round. Blocks when
+    /// the queue is full; fails once the pipeline is poisoned.
     pub fn submit_frame(&self, frame: Vec<u8>) -> Result<()> {
         self.queue.push(frame)
-    }
-
-    /// Encodes a batch of reports into one frame and submits it — the
-    /// convenience path for in-process producers (tests, simulated
-    /// fleets); networked producers ship bytes and use
-    /// [`IngestPipeline::submit_frame`].
-    pub fn submit_reports(&self, reports: &[Report]) -> Result<()> {
-        let mut frame = Vec::new();
-        for report in reports {
-            report.encode_into(&mut frame);
-        }
-        self.submit_frame(frame)
     }
 
     /// Submits one **sealed** frame ([`crate::wire::seal_frame`]) through
@@ -448,8 +448,11 @@ impl IngestPipeline {
     /// 1. the envelope's length and FNV-1a checksum are verified — a frame
     ///    corrupted in transit (bit-flips, truncation) is dropped whole and
     ///    counted in [`IngestStats::rejected_frames`];
-    /// 2. the body is structurally walked — any malformed entry likewise
-    ///    rejects the whole frame *before* anything is forwarded;
+    /// 2. every entry is decoded and checked by the round's own decoder —
+    ///    the kind and domain checks [`ShardAggregator::absorb_wire`]
+    ///    applies — and any bad entry (malformed, wrong report kind, value
+    ///    outside the round) likewise rejects the whole frame *before*
+    ///    anything is forwarded;
     /// 3. each surviving report is deduplicated by its frame-declared user
     ///    id against every other sealed frame of this round (duplicates
     ///    counted in [`IngestStats::duplicate_reports`] and dropped);
@@ -489,24 +492,15 @@ impl IngestPipeline {
     }
 
     fn submit_sealed_inner(&self, frame: &[u8]) -> Result<()> {
-        let Ok(body) = wire::unseal_frame(frame) else {
+        // One pass over the frame: every entry goes through the round's
+        // decoder before the dedup set is touched, so a frame rejected
+        // halfway through never burns its users' one-report-per-round
+        // slots, and no worker ever sees a report it would refuse.
+        let checked = wire::unseal_frame(frame).and_then(|body| Ok((body, self.entries(body)?)));
+        let Ok((body, entries)) = checked else {
             self.rejected_frames.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         };
-        // Structural pre-walk: validate every entry before touching the
-        // dedup set, so a frame rejected halfway through never burns its
-        // users' one-report-per-round slots.
-        let mut entries = Vec::new();
-        let mut pos = 0;
-        while pos < body.len() {
-            match wire::next_sealed_entry(body, &mut pos) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => {
-                    self.rejected_frames.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-            }
-        }
         let mut clean = Vec::with_capacity(body.len());
         let mut accepted = 0u64;
         let mut duplicates = 0u64;
@@ -530,40 +524,18 @@ impl IngestPipeline {
         self.submit_frame(clean)
     }
 
-    /// Snapshot of the validation counters and queue-depth metrics so far.
-    /// The validation counters are all zeros when only the plain
-    /// [`IngestPipeline::submit_frame`] path was used; the queue metrics
-    /// cover every path (both submit flavors share the frame queue).
-    pub fn stats(&self) -> IngestStats {
-        let (queue_high_water, backpressure_stalls, worker_panics) = self.queue.depth_metrics();
-        IngestStats {
-            accepted_reports: self.accepted_reports.load(Ordering::Relaxed),
-            rejected_frames: self.rejected_frames.load(Ordering::Relaxed),
-            duplicate_reports: self.duplicate_reports.load(Ordering::Relaxed),
-            queue_high_water,
-            backpressure_stalls,
-            worker_panics,
+    /// The `(user id, report bytes)` entries of a sealed-frame body, each
+    /// decoded and checked by the round's own decoder.
+    fn entries(&self, body: &[u8]) -> Result<Vec<(usize, Range<usize>)>> {
+        let mut entries = Vec::new();
+        let (mut pos, mut bits) = (0, Vec::new());
+        while pos < body.len() {
+            let user = wire::read_usize(body, &mut pos)?;
+            let start = pos;
+            self.template.check_wire(body, &mut pos, &mut bits)?;
+            entries.push((user, start..pos));
         }
-    }
-
-    /// [`IngestPipeline::finish`] that hands back the final counters in
-    /// **both** arms — a failed round still reports how it failed
-    /// (including panics recorded during the drain/join itself), so a
-    /// supervised registry can fold crash counts into session health
-    /// metrics ([`crate::Session::record_ingest_stats`]) before recovering
-    /// the round.
-    pub fn finish_accounted(self) -> (Result<ShardAggregator>, IngestStats) {
-        let queue = Arc::clone(&self.queue);
-        let mut stats = self.stats();
-        let result = self.finish();
-        // Re-read the queue-side counters after the join: a worker that
-        // panicked while draining the backlog is invisible to the
-        // pre-finish snapshot.
-        let (queue_high_water, backpressure_stalls, worker_panics) = queue.depth_metrics();
-        stats.queue_high_water = queue_high_water;
-        stats.backpressure_stalls = backpressure_stalls;
-        stats.worker_panics = worker_panics;
-        (result, stats)
+        Ok(entries)
     }
 
     /// Closes the round: no more frames are accepted, the queue drains,
@@ -571,11 +543,15 @@ impl IngestPipeline {
     /// [`ShardAggregator::merge_tree`] into the round's single aggregate —
     /// bit-identical to a serial absorb of the same reports.
     ///
+    /// The round's counters come back in **both** arms, so a failed round
+    /// still reports how it failed ([`crate::Session::submit_pipeline`]
+    /// folds them into the session).
+    ///
     /// # Errors
     ///
-    /// The first worker error (malformed frame, wrong report kind,
-    /// out-of-domain value), if any occurred.
-    pub fn finish(mut self) -> Result<ShardAggregator> {
+    /// The first worker error (a bad plain frame, or a worker panic), if
+    /// any occurred.
+    pub fn finish(mut self) -> (Result<ShardAggregator>, IngestStats) {
         self.queue.close();
         let mut shards = Vec::with_capacity(self.workers.len());
         let mut first_err = None;
@@ -597,11 +573,26 @@ impl IngestPipeline {
                 }
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        ShardAggregator::merge_tree(shards)?
-            .ok_or_else(|| Error::Protocol("ingest pipeline finished with zero workers".into()))
+        // Read after the join, so a worker that panicked while draining
+        // the backlog is counted.
+        let (queue_high_water, backpressure_stalls, worker_panics) = self.queue.depth_metrics();
+        let stats = IngestStats {
+            accepted_reports: self.accepted_reports.load(Ordering::Relaxed),
+            rejected_frames: self.rejected_frames.load(Ordering::Relaxed),
+            duplicate_reports: self.duplicate_reports.load(Ordering::Relaxed),
+            queue_high_water,
+            backpressure_stalls,
+            worker_panics,
+        };
+        let result = match first_err {
+            Some(e) => Err(e),
+            None => ShardAggregator::merge_tree(shards).and_then(|merged| {
+                merged.ok_or_else(|| {
+                    Error::Protocol("ingest pipeline finished with zero workers".into())
+                })
+            }),
+        };
+        (result, stats)
     }
 }
 
@@ -619,7 +610,7 @@ impl Drop for IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::round::{Audience, GroupId};
+    use crate::round::{Audience, GroupId, Report};
     use privshape_timeseries::CandidateTable;
     use std::sync::Arc;
 
@@ -636,6 +627,15 @@ mod tests {
             level: 1,
             candidates: Arc::new(CandidateTable::parse_rows(&rows).unwrap()),
         }
+    }
+
+    /// One plain frame of expand selections.
+    fn frame(selections: &[usize]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        for &sel in selections {
+            Report::Expand(sel).encode_into(&mut frame);
+        }
+        frame
     }
 
     fn pipeline(
@@ -662,9 +662,13 @@ mod tests {
         for workers in [1usize, 2, 5] {
             let pipeline = pipeline(&spec, workers, 4, None);
             for chunk in reports.chunks(13) {
-                pipeline.submit_reports(chunk).unwrap();
+                let mut frame = Vec::new();
+                for r in chunk {
+                    r.encode_into(&mut frame);
+                }
+                pipeline.submit_frame(frame).unwrap();
             }
-            let merged = pipeline.finish().unwrap();
+            let merged = pipeline.finish().0.unwrap();
             assert_eq!(merged, serial, "workers={workers}");
         }
     }
@@ -678,14 +682,12 @@ mod tests {
                 let pipeline = Arc::clone(&pipeline);
                 s.spawn(move || {
                     for i in 0..250 {
-                        pipeline
-                            .submit_reports(&[Report::Expand((p + i) % 3)])
-                            .unwrap();
+                        pipeline.submit_frame(frame(&[(p + i) % 3])).unwrap();
                     }
                 });
             }
         });
-        let merged = Arc::into_inner(pipeline).unwrap().finish().unwrap();
+        let merged = Arc::into_inner(pipeline).unwrap().finish().0.unwrap();
         assert_eq!(merged.reports(), 1000);
         let counts = merged.finalize_selections().unwrap();
         assert_eq!(counts.iter().sum::<f64>(), 1000.0);
@@ -695,14 +697,14 @@ mod tests {
     fn worker_error_poisons_and_surfaces() {
         let spec = spec(2);
         let pipeline = pipeline(&spec, 2, 4, None);
-        pipeline.submit_reports(&[Report::Expand(0)]).unwrap();
+        pipeline.submit_frame(frame(&[0])).unwrap();
         // Out-of-domain selection: the absorbing worker fails the round.
-        pipeline.submit_reports(&[Report::Expand(9)]).unwrap();
+        pipeline.submit_frame(frame(&[9])).unwrap();
         // Give the pipeline a moment to poison, then submits must fail
         // (poll rather than sleep a fixed amount — workers are fast).
         let mut poisoned = false;
         for _ in 0..500 {
-            if pipeline.submit_reports(&[Report::Expand(1)]).is_err() {
+            if pipeline.submit_frame(frame(&[1])).is_err() {
                 poisoned = true;
                 break;
             }
@@ -712,7 +714,7 @@ mod tests {
             poisoned,
             "pipeline never rejected submits after a bad frame"
         );
-        assert!(matches!(pipeline.finish(), Err(Error::Protocol(_))));
+        assert!(matches!(pipeline.finish().0, Err(Error::Protocol(_))));
     }
 
     #[test]
@@ -720,10 +722,10 @@ mod tests {
         let spec = spec(2);
         let pipeline = pipeline(&spec, 1, 4, None);
         // Out-of-domain selection: the absorbing worker fails the round.
-        pipeline.submit_reports(&[Report::Expand(9)]).unwrap();
+        pipeline.submit_frame(frame(&[9])).unwrap();
         let mut cause_seen = None;
         for _ in 0..500 {
-            match pipeline.submit_reports(&[Report::Expand(1)]) {
+            match pipeline.submit_frame(frame(&[1])) {
                 Err(Error::PipelinePoisoned { cause }) => {
                     cause_seen = Some(cause);
                     break;
@@ -748,12 +750,12 @@ mod tests {
             at_absorb: 0,
         }]));
         let pipeline = pipeline(&spec, 2, 4, Some(Arc::clone(&plan)));
-        pipeline.submit_reports(&[Report::Expand(0)]).unwrap();
+        pipeline.submit_frame(frame(&[0])).unwrap();
         // Poll until the panic poisons the pipeline, then the submit-time
         // error must carry the panic message as its cause.
         let mut poisoned = false;
         for _ in 0..500 {
-            match pipeline.submit_reports(&[Report::Expand(1)]) {
+            match pipeline.submit_frame(frame(&[1])) {
                 Err(Error::PipelinePoisoned { cause }) => {
                     assert!(cause.contains("panicked"), "cause: {cause}");
                     poisoned = true;
@@ -764,12 +766,10 @@ mod tests {
             }
         }
         assert!(poisoned, "injected panic never poisoned the pipeline");
-        assert_eq!(pipeline.stats().worker_panics, 1);
         assert_eq!(plan.fired_counts().worker_panics, 1);
-        assert!(matches!(
-            pipeline.finish(),
-            Err(Error::PipelinePoisoned { .. })
-        ));
+        let (result, stats) = pipeline.finish();
+        assert!(matches!(result, Err(Error::PipelinePoisoned { .. })));
+        assert_eq!(stats.worker_panics, 1);
     }
 
     #[test]
@@ -795,7 +795,7 @@ mod tests {
                 Err(other) => panic!("unexpected error: {other}"),
             }
         }
-        let (merged, stats) = pipeline.finish_accounted();
+        let (merged, stats) = pipeline.finish();
         assert_eq!(
             merged.unwrap(),
             serial,
@@ -812,7 +812,7 @@ mod tests {
     fn dropping_without_finish_releases_workers() {
         let spec = spec(2);
         let pipeline = pipeline(&spec, 2, 1, None);
-        pipeline.submit_reports(&[Report::Expand(0)]).unwrap();
+        pipeline.submit_frame(frame(&[0])).unwrap();
         let queue = Arc::clone(&pipeline.queue);
         // Early-exit path: no finish(). Drop must close the queue so the
         // workers drain and exit instead of blocking forever.
@@ -844,7 +844,7 @@ mod tests {
     fn empty_round_finishes_empty() {
         let pipeline =
             IngestPipeline::for_round(&spec(2), eps(), IngestConfig::default(), None).unwrap();
-        let merged = pipeline.finish().unwrap();
+        let merged = pipeline.finish().0.unwrap();
         assert_eq!(merged.reports(), 0);
     }
 
@@ -869,7 +869,7 @@ mod tests {
             bad[mid] ^= 0x40;
             pipeline.submit_sealed_frame(&bad).unwrap();
         }
-        let (merged, stats) = pipeline.finish_accounted();
+        let (merged, stats) = pipeline.finish();
         assert_eq!(
             merged.unwrap(),
             serial,
@@ -881,18 +881,51 @@ mod tests {
     }
 
     #[test]
+    fn sealed_path_rejects_entries_the_round_refuses() {
+        // A sub-shape round with levels 1..=2 over a 6-value domain.
+        let spec = RoundSpec::SubShape {
+            audience: Audience::group(GroupId::Pb),
+            ell_s: 3,
+            alphabet: 3,
+        };
+        let pipeline = pipeline(&spec, 2, 8, None);
+        let good = Report::SubShape { level: 2, value: 5 };
+        let refused = [
+            Report::SubShape { level: 3, value: 0 },
+            Report::SubShape { level: 0, value: 0 },
+            Report::SubShape { level: 1, value: 6 },
+            Report::Expand(0),
+        ];
+        for bad in refused {
+            // Well formed and correctly sealed, but the round's decoder
+            // refuses the second entry: the whole frame goes, before dedup.
+            let frame = wire::seal_frame(&[(0, good.clone()), (1, bad)]);
+            pipeline.submit_sealed_frame(&frame).unwrap();
+        }
+        // The rejected frames burnt no one-report-per-round slot.
+        let honest = wire::seal_frame(&[(0, good.clone()), (1, good.clone())]);
+        pipeline.submit_sealed_frame(&honest).unwrap();
+        let (merged, stats) = pipeline.finish();
+        let mut serial = ShardAggregator::for_round(&spec, eps()).unwrap();
+        serial.absorb(&good).unwrap();
+        serial.absorb(&good).unwrap();
+        assert_eq!(merged.unwrap(), serial);
+        assert_eq!(stats.rejected_frames, 4);
+        assert_eq!(stats.accepted_reports, 2);
+        assert_eq!(stats.duplicate_reports, 0);
+    }
+
+    #[test]
     fn plain_path_leaves_validation_counters_untouched() {
         let spec = spec(2);
         let pipeline =
             IngestPipeline::for_round(&spec, eps(), IngestConfig::default(), None).unwrap();
-        pipeline
-            .submit_reports(&[Report::Expand(0), Report::Expand(1)])
-            .unwrap();
+        pipeline.submit_frame(frame(&[0, 1])).unwrap();
         // The plain path is the replay-tolerant one (streaming benches
         // resubmit identical frames on purpose): no validation, so the
         // validation counters never move. The queue-depth metrics do —
         // both submit flavors share the frame queue.
-        let (merged, stats) = pipeline.finish_accounted();
+        let (merged, stats) = pipeline.finish();
         assert_eq!(merged.unwrap().reports(), 2);
         assert_eq!(stats.accepted_reports, 0);
         assert_eq!(stats.rejected_frames, 0);
@@ -911,12 +944,12 @@ mod tests {
                 let pipeline = Arc::clone(&pipeline);
                 s.spawn(move || {
                     for i in 0..50 {
-                        pipeline.submit_reports(&[Report::Expand(i % 2)]).unwrap();
+                        pipeline.submit_frame(frame(&[i % 2])).unwrap();
                     }
                 });
             }
         });
-        let (merged, stats) = Arc::into_inner(pipeline).unwrap().finish_accounted();
+        let (merged, stats) = Arc::into_inner(pipeline).unwrap().finish();
         assert_eq!(merged.unwrap().reports(), 100);
         assert_eq!(stats.queue_high_water, 1);
         assert!(

@@ -32,10 +32,10 @@ pub struct Diagnostics {
     /// instead of contributing reports.
     pub unassigned_users: usize,
     /// Whole wire frames rejected at the sealed-frame ingest boundary
-    /// (checksum mismatch or malformed body), summed across rounds. Stays
-    /// zero unless the sealed path
-    /// ([`crate::IngestPipeline::submit_sealed_frame`]) was used and fed
-    /// back via [`crate::Session::record_ingest_stats`].
+    /// (checksum mismatch, malformed body, or an entry outside the round),
+    /// summed across rounds. Stays zero unless the sealed path
+    /// ([`crate::IngestPipeline::submit_sealed_frame`]) was used and its
+    /// pipelines closed through [`crate::Session::submit_pipeline`].
     pub rejected_frames: u64,
     /// Reports dropped by per-round user-id deduplication at the sealed
     /// ingest boundary, summed across rounds.

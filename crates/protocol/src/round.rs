@@ -191,16 +191,7 @@ pub enum Report {
 impl Report {
     /// Short human-readable kind name for error messages.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Report::Length(_) => "length",
-            Report::LengthOue(_) => "length-oue",
-            Report::LengthOlh(_) => "length-olh",
-            Report::LengthPiecewise(_) => "length-piecewise",
-            Report::SubShape { .. } => "sub-shape",
-            Report::Expand(_) => "expand",
-            Report::RefineSelect(_) => "refine-select",
-            Report::RefineLabeled(_) => "refine-labeled",
-        }
+        self.view().kind()
     }
 }
 

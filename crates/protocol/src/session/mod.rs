@@ -264,22 +264,10 @@ impl Session {
         })
     }
 
-    /// An empty shard aggregate matching the currently open round, for
-    /// ingestion nodes that aggregate reports away from the session.
-    pub fn shard_aggregator(&self) -> Result<ShardAggregator> {
-        let Some(open) = self.open.as_ref() else {
-            return Err(Error::Protocol(
-                "no open round to build a shard aggregator for".into(),
-            ));
-        };
-        ShardAggregator::for_round(&open.spec, self.params.epsilon)
-    }
-
     /// A streaming multi-worker ingest pipeline for the currently open
     /// round: wire-encoded report frames go in (out of order, from any
-    /// number of producers), and [`IngestPipeline::finish`] hands back the
-    /// single tree-merged aggregate for [`Session::submit_shard`] —
-    /// bit-identical to submitting the reports serially.
+    /// number of producers), and [`Session::submit_pipeline`] closes it
+    /// into the round — bit-identical to submitting the reports serially.
     ///
     /// The pipeline carries the session's fault plan, if one is installed
     /// ([`Session::set_fault_plan`]).
@@ -316,16 +304,8 @@ impl Session {
         }
     }
 
-    /// Folds one round's sealed-frame validation counters
-    /// ([`IngestPipeline::finish_accounted`]) into the session, so the
-    /// final [`crate::Diagnostics`] reports how much hostile input the run
-    /// shed at the ingest boundary. Optional: sessions fed through the
-    /// plain frame path have nothing to record.
-    pub fn record_ingest_stats(&mut self, stats: &IngestStats) {
-        self.ingest.absorb(stats);
-    }
-
-    /// The sealed-frame validation counters recorded so far.
+    /// The ingest counters of every pipeline closed through
+    /// [`Session::submit_pipeline`] so far.
     pub fn ingest_stats(&self) -> IngestStats {
         self.ingest
     }
@@ -446,6 +426,24 @@ impl Session {
             ));
         };
         open.agg.merge(shard)
+    }
+
+    /// Closes a streaming round: finishes `pipeline`, folds its counters
+    /// into the session on success and failure alike (a failed round's
+    /// worker panics survive into the health metrics), and merges its
+    /// aggregate into the open round. Returns the reports it absorbed. A
+    /// failed pipeline leaves the round open and untouched, for recovery.
+    ///
+    /// # Errors
+    ///
+    /// The pipeline's first worker error, or a merge error when the
+    /// pipeline was built for a different round.
+    pub fn submit_pipeline(&mut self, pipeline: IngestPipeline) -> Result<u64> {
+        let (result, stats) = pipeline.finish();
+        self.ingest.absorb(&stats);
+        let shard = result?;
+        self.submit_shard(&shard)?;
+        Ok(shard.reports())
     }
 
     /// Whether [`Session::finish`] (`labeled == false`) or
@@ -846,7 +844,10 @@ mod tests {
             s.submit(&[Report::Length(0)]),
             Err(Error::Protocol(_))
         ));
-        assert!(matches!(s.shard_aggregator(), Err(Error::Protocol(_))));
+        assert!(matches!(
+            s.ingest_pipeline(IngestConfig::default()),
+            Err(Error::Protocol(_))
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::config::LengthOracle;
 use crate::error::{Error, Result};
 use crate::round::{Report, RoundSpec};
-use crate::wire;
+use crate::wire::{self, ReportRef};
 use privshape_ldp::{
     Epsilon, Grr, GrrAggregator, Olh, OlhAggregator, Oue, OueAggregator, PiecewiseAggregator,
     PiecewiseMechanism,
@@ -62,30 +62,28 @@ impl LengthAgg {
     }
 }
 
-/// Length-round absorption, split out of [`ShardAggregator::absorb`] and
-/// kept out of line: the length round fires once per session over a tiny
-/// domain, and folding its four-oracle dispatch into the hot absorb match
+/// Length-round check, split out of [`ShardAggregator::check`] and kept
+/// out of line: the length round fires once per session over a tiny
+/// domain, and folding its four-oracle dispatch into the hot match
 /// measurably slows the expand/refine bulk (~10 ns/report).
 #[inline(never)]
-fn absorb_length(agg: &mut LengthAgg, domain: usize, report: &Report) -> Result<()> {
+fn check_length(agg: &LengthAgg, domain: usize, report: ReportRef<'_>) -> Result<()> {
     match (agg, report) {
-        (LengthAgg::Grr(agg), Report::Length(v)) => {
-            if *v >= domain {
+        (LengthAgg::Grr(_), ReportRef::Length(v)) => {
+            if v >= domain {
                 return Err(Error::Protocol(format!(
                     "length report {v} outside domain {domain}"
                 )));
             }
-            agg.add(*v);
         }
-        (LengthAgg::Oue(agg), Report::LengthOue(r)) => {
-            if r.set_bits().iter().any(|&b| b >= domain) {
+        (LengthAgg::Oue(_), ReportRef::LengthOue(bits)) => {
+            if bits.iter().any(|&b| b >= domain) {
                 return Err(Error::Protocol(format!(
                     "length OUE report has bits outside domain {domain}"
                 )));
             }
-            agg.add(r);
         }
-        (LengthAgg::Olh(agg), Report::LengthOlh(r)) => {
+        (LengthAgg::Olh(agg), ReportRef::LengthOlh(r)) => {
             if r.value >= agg.olh().g() {
                 return Err(Error::Protocol(format!(
                     "length OLH report bucket {} outside hash range {}",
@@ -93,10 +91,9 @@ fn absorb_length(agg: &mut LengthAgg, domain: usize, report: &Report) -> Result<
                     agg.olh().g()
                 )));
             }
-            agg.add(r);
         }
-        (LengthAgg::Piecewise(agg), Report::LengthPiecewise(q)) => {
-            agg.add(*q)
+        (LengthAgg::Piecewise(agg), ReportRef::LengthPiecewise(q)) => {
+            agg.check(q)
                 .map_err(|e| Error::Protocol(format!("length piecewise report rejected: {e}")))?;
         }
         (_, report) => {
@@ -109,58 +106,19 @@ fn absorb_length(agg: &mut LengthAgg, domain: usize, report: &Report) -> Result<
     Ok(())
 }
 
-/// Wire-side twin of [`absorb_length`] (same once-per-session rationale).
+/// Length-round count (same once-per-session rationale as
+/// [`check_length`]).
 #[inline(never)]
-fn absorb_wire_length(
-    agg: &mut LengthAgg,
-    domain: usize,
-    tag: u8,
-    frame: &[u8],
-    pos: &mut usize,
-    bits: &mut Vec<usize>,
-) -> Result<()> {
-    match (agg, tag) {
-        (LengthAgg::Grr(agg), wire::TAG_LENGTH) => {
-            let v = wire::read_usize(frame, pos)?;
-            if v >= domain {
-                return Err(Error::Protocol(format!(
-                    "length report {v} outside domain {domain}"
-                )));
-            }
-            agg.add(v);
+fn count_length(agg: &mut LengthAgg, report: ReportRef<'_>) {
+    match (agg, report) {
+        (LengthAgg::Grr(agg), ReportRef::Length(v)) => agg.add(v),
+        (LengthAgg::Oue(agg), ReportRef::LengthOue(bits)) => agg.add_bits(bits),
+        (LengthAgg::Olh(agg), ReportRef::LengthOlh(r)) => agg.add(&r),
+        (LengthAgg::Piecewise(agg), ReportRef::LengthPiecewise(q)) => {
+            agg.add(q).expect("check_length bounded the report")
         }
-        (LengthAgg::Oue(agg), wire::TAG_LENGTH_OUE) => {
-            wire::read_oue_bits(frame, pos, bits)?;
-            if bits.iter().any(|&b| b >= domain) {
-                return Err(Error::Protocol(format!(
-                    "length OUE report has bits outside domain {domain}"
-                )));
-            }
-            agg.add_bits(bits);
-        }
-        (LengthAgg::Olh(agg), wire::TAG_LENGTH_OLH) => {
-            let seed = wire::read_varint(frame, pos)?;
-            let value = wire::read_usize(frame, pos)?;
-            if value >= agg.olh().g() {
-                return Err(Error::Protocol(format!(
-                    "length OLH report bucket {value} outside hash range {}",
-                    agg.olh().g()
-                )));
-            }
-            agg.add(&privshape_ldp::OlhReport { seed, value });
-        }
-        (LengthAgg::Piecewise(agg), wire::TAG_LENGTH_PIECEWISE) => {
-            let q = wire::unzigzag(wire::read_varint(frame, pos)?);
-            agg.add(q)
-                .map_err(|e| Error::Protocol(format!("length piecewise report rejected: {e}")))?;
-        }
-        (_, tag) => {
-            return Err(Error::Protocol(format!(
-                "report tag 0x{tag:02x} does not match round aggregate length"
-            )));
-        }
+        _ => unreachable!("check_length admits only the round's oracle"),
     }
-    Ok(())
 }
 
 /// Index of the largest estimate; ties go to the smaller index.
@@ -292,61 +250,8 @@ impl ShardAggregator {
 
     /// Absorbs one report, validating that its kind and domain match the
     /// round this aggregator was built for.
-    ///
-    /// Arm order matters here: expand / refine-select reports are the
-    /// per-user-per-level bulk of every session and absorption runs at
-    /// ~10 ns/report, so the hot arms come first and the once-per-session
-    /// length-oracle dispatch lives in a non-inlined helper — keeping this
-    /// body small enough to stay inlined into the absorb loops.
     pub fn absorb(&mut self, report: &Report) -> Result<()> {
-        match (&mut self.inner, report) {
-            (Inner::Expand { counts, .. }, Report::Expand(sel))
-            | (Inner::RefineSelect { counts, .. }, Report::RefineSelect(sel)) => {
-                if *sel >= counts.len() {
-                    return Err(Error::Protocol(format!(
-                        "selection report {sel} outside {} candidates",
-                        counts.len()
-                    )));
-                }
-                counts[*sel] += 1;
-            }
-            (Inner::Length { agg, domain }, report) => {
-                absorb_length(agg, *domain, report)?;
-            }
-            (Inner::SubShape { aggs, domain }, Report::SubShape { level, value }) => {
-                if *level == 0 || *level > aggs.len() {
-                    return Err(Error::Protocol(format!(
-                        "sub-shape report for level {level}, round has {}",
-                        aggs.len()
-                    )));
-                }
-                if *value >= *domain {
-                    return Err(Error::Protocol(format!(
-                        "sub-shape report {value} outside domain {domain}"
-                    )));
-                }
-                aggs[*level - 1].add(*value);
-            }
-            (Inner::RefineLabeled { agg, .. }, Report::RefineLabeled(r)) => {
-                if let Some(agg) = agg {
-                    if r.set_bits().iter().any(|&b| b >= agg.domain()) {
-                        return Err(Error::Protocol(
-                            "labeled report has bits outside the grid".into(),
-                        ));
-                    }
-                    agg.add(r);
-                }
-            }
-            (inner, report) => {
-                return Err(Error::Protocol(format!(
-                    "report kind '{}' does not match round aggregate {}",
-                    report.kind(),
-                    inner.kind(),
-                )));
-            }
-        }
-        self.reports += 1;
-        Ok(())
+        self.absorb_ref(report.view())
     }
 
     /// Absorbs a whole frame of wire-encoded reports (the concatenated
@@ -355,9 +260,8 @@ impl ShardAggregator {
     /// This is the ingestion fast path: reports are decoded straight off
     /// the byte buffer into the counts — no intermediate [`Report`] is
     /// materialized, and the OUE bit buffer is reused across the frame, so
-    /// steady-state absorption allocates nothing per report. Exactly
-    /// equivalent to decoding the frame and [`ShardAggregator::absorb`]ing
-    /// each report (pinned by a unit test and the wire property tests).
+    /// steady-state absorption allocates nothing per report. Each report
+    /// passes the same checks as in [`ShardAggregator::absorb`].
     ///
     /// # Errors
     ///
@@ -369,47 +273,68 @@ impl ShardAggregator {
         let mut absorbed = 0usize;
         let mut bits = Vec::new();
         while pos < frame.len() {
-            self.absorb_wire_one(frame, &mut pos, &mut bits)?;
+            wire::read_report(
+                frame,
+                &mut pos,
+                &mut bits,
+                #[inline(always)]
+                |report| self.absorb_ref(report),
+            )?;
             absorbed += 1;
         }
         Ok(absorbed)
     }
 
-    /// Decodes and absorbs one report starting at `*pos`.
-    ///
-    /// `inline(always)`: this is the body of the `absorb_wire` frame loop
-    /// (~10 ns/report); left to its own devices the compiler stopped
-    /// inlining it once the length-oracle dispatch grew, costing double-
-    /// digit percent off ingest throughput. The cold length/error paths
-    /// are `inline(never)` helpers precisely so this stays cheap to inline.
+    /// The decode and check half of [`ShardAggregator::absorb_wire`] for
+    /// the one report at `*pos`, advancing `*pos` past it and leaving the
+    /// counts untouched. A report this accepts, `absorb_wire` absorbs.
     #[inline(always)]
-    fn absorb_wire_one(
-        &mut self,
+    pub(crate) fn check_wire(
+        &self,
         frame: &[u8],
         pos: &mut usize,
         bits: &mut Vec<usize>,
     ) -> Result<()> {
-        let tag = wire::read_tag(frame, pos)?;
-        // Hot arms first: expand / refine-select / sub-shape reports are
-        // the per-user-per-level bulk of every session, while each length
-        // arm fires for at most one round — and this decode loop runs at
-        // ~10 ns/report, where a few extra discriminant compares ahead of
-        // the hot arms are a measurable throughput tax.
-        match (&mut self.inner, tag) {
-            (Inner::Expand { counts, .. }, wire::TAG_EXPAND)
-            | (Inner::RefineSelect { counts, .. }, wire::TAG_REFINE_SELECT) => {
-                let sel = wire::read_usize(frame, pos)?;
+        wire::read_report(
+            frame,
+            pos,
+            bits,
+            #[inline(always)]
+            |report| self.check(report),
+        )
+    }
+
+    /// The check step, then the count step.
+    #[inline(always)]
+    fn absorb_ref(&mut self, report: ReportRef<'_>) -> Result<()> {
+        self.check(report)?;
+        self.count(report);
+        Ok(())
+    }
+
+    /// Checks that `report`'s kind and domain match this round: the one
+    /// copy of every report kind's checks.
+    ///
+    /// `inline(always)`, with the hot arms first: expand / refine-select /
+    /// sub-shape reports are the per-user-per-level bulk of every session,
+    /// this runs at ~10 ns/report, and the length arms live in a
+    /// non-inlined helper so the body stays cheap to inline. Both this and
+    /// [`ShardAggregator::count`] branch on the report before the round:
+    /// inside [`wire::read_report`] the report's kind is a constant, so
+    /// both steps fold into its one dispatch.
+    #[inline(always)]
+    fn check(&self, report: ReportRef<'_>) -> Result<()> {
+        match (report, &self.inner) {
+            (ReportRef::Expand(sel), Inner::Expand { counts, .. })
+            | (ReportRef::RefineSelect(sel), Inner::RefineSelect { counts, .. }) => {
                 if sel >= counts.len() {
                     return Err(Error::Protocol(format!(
                         "selection report {sel} outside {} candidates",
                         counts.len()
                     )));
                 }
-                counts[sel] += 1;
             }
-            (Inner::SubShape { aggs, domain }, wire::TAG_SUB_SHAPE) => {
-                let level = wire::read_usize(frame, pos)?;
-                let value = wire::read_usize(frame, pos)?;
+            (ReportRef::SubShape { level, value }, Inner::SubShape { aggs, domain }) => {
                 if level == 0 || level > aggs.len() {
                     return Err(Error::Protocol(format!(
                         "sub-shape report for level {level}, round has {}",
@@ -421,31 +346,60 @@ impl ShardAggregator {
                         "sub-shape report {value} outside domain {domain}"
                     )));
                 }
-                aggs[level - 1].add(value);
             }
-            (Inner::RefineLabeled { agg, .. }, wire::TAG_REFINE_LABELED) => {
-                wire::read_oue_bits(frame, pos, bits)?;
+            (ReportRef::RefineLabeled(bits), Inner::RefineLabeled { agg, .. }) => {
                 if let Some(agg) = agg {
                     if bits.iter().any(|&b| b >= agg.domain()) {
                         return Err(Error::Protocol(
                             "labeled report has bits outside the grid".into(),
                         ));
                     }
-                    agg.add_bits(bits);
                 }
             }
-            (Inner::Length { agg, domain }, tag) => {
-                absorb_wire_length(agg, *domain, tag, frame, pos, bits)?;
-            }
-            (inner, tag) => {
+            (
+                report @ (ReportRef::Length(_)
+                | ReportRef::LengthOue(_)
+                | ReportRef::LengthOlh(_)
+                | ReportRef::LengthPiecewise(_)),
+                Inner::Length { agg, domain },
+            ) => check_length(agg, *domain, report)?,
+            (report, inner) => {
                 return Err(Error::Protocol(format!(
-                    "report tag 0x{tag:02x} does not match round aggregate {}",
+                    "report kind '{}' does not match round aggregate {}",
+                    report.kind(),
                     inner.kind(),
                 )));
             }
         }
-        self.reports += 1;
         Ok(())
+    }
+
+    /// Counts a report [`ShardAggregator::check`] accepted.
+    #[inline(always)]
+    fn count(&mut self, report: ReportRef<'_>) {
+        match (report, &mut self.inner) {
+            (ReportRef::Expand(sel), Inner::Expand { counts, .. })
+            | (ReportRef::RefineSelect(sel), Inner::RefineSelect { counts, .. }) => {
+                counts[sel] += 1
+            }
+            (ReportRef::SubShape { level, value }, Inner::SubShape { aggs, .. }) => {
+                aggs[level - 1].add(value)
+            }
+            (ReportRef::RefineLabeled(bits), Inner::RefineLabeled { agg, .. }) => {
+                if let Some(agg) = agg {
+                    agg.add_bits(bits);
+                }
+            }
+            (
+                report @ (ReportRef::Length(_)
+                | ReportRef::LengthOue(_)
+                | ReportRef::LengthOlh(_)
+                | ReportRef::LengthPiecewise(_)),
+                Inner::Length { agg, .. },
+            ) => count_length(agg, report),
+            _ => unreachable!("check admits only the round's report kind"),
+        }
+        self.reports += 1;
     }
 
     /// Folds another shard's partial sums into this one. Counts add
@@ -1106,6 +1060,10 @@ mod tests {
             pw.absorb(&Report::LengthPiecewise(i64::MAX)).is_err(),
             "report beyond the mechanism's output bound"
         );
+        // `i64::MIN` has no absolute value; it must still be refused.
+        let mut frame = Vec::new();
+        Report::LengthPiecewise(i64::MIN).encode_into(&mut frame);
+        assert!(pw.absorb_wire(&frame).is_err());
         assert!(pw.merge(&olh).is_err(), "cross-oracle merge refused");
     }
 

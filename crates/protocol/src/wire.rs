@@ -49,21 +49,21 @@ use crate::round::Report;
 use privshape_ldp::{OlhReport, OueReport};
 
 /// Wire tag of a [`Report::Length`] report.
-pub(crate) const TAG_LENGTH: u8 = 0x01;
+const TAG_LENGTH: u8 = 0x01;
 /// Wire tag of a [`Report::SubShape`] report.
-pub(crate) const TAG_SUB_SHAPE: u8 = 0x02;
+const TAG_SUB_SHAPE: u8 = 0x02;
 /// Wire tag of a [`Report::Expand`] report.
-pub(crate) const TAG_EXPAND: u8 = 0x03;
+const TAG_EXPAND: u8 = 0x03;
 /// Wire tag of a [`Report::RefineSelect`] report.
-pub(crate) const TAG_REFINE_SELECT: u8 = 0x04;
+const TAG_REFINE_SELECT: u8 = 0x04;
 /// Wire tag of a [`Report::RefineLabeled`] report.
-pub(crate) const TAG_REFINE_LABELED: u8 = 0x05;
+const TAG_REFINE_LABELED: u8 = 0x05;
 /// Wire tag of a [`Report::LengthOue`] report.
-pub(crate) const TAG_LENGTH_OUE: u8 = 0x06;
+const TAG_LENGTH_OUE: u8 = 0x06;
 /// Wire tag of a [`Report::LengthOlh`] report.
-pub(crate) const TAG_LENGTH_OLH: u8 = 0x07;
+const TAG_LENGTH_OLH: u8 = 0x07;
 /// Wire tag of a [`Report::LengthPiecewise`] report.
-pub(crate) const TAG_LENGTH_PIECEWISE: u8 = 0x08;
+const TAG_LENGTH_PIECEWISE: u8 = 0x08;
 /// Leading magic byte of a sealed frame (outside the report tag space, so
 /// a sealed frame can never be mistaken for a plain one).
 pub(crate) const FRAME_MAGIC: u8 = 0xF5;
@@ -98,7 +98,10 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// [`Error::Protocol`] when the buffer ends mid-varint or the encoding
 /// carries bits past 2^64 (an overlong 10th byte is refused, never
 /// truncated).
-#[inline]
+///
+/// `inline(always)`: every report decode is one to three of these, and
+/// the sealed-frame check and the absorb loop each decode every report.
+#[inline(always)]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut out = 0u64;
     let mut shift = 0u32;
@@ -161,10 +164,9 @@ pub(crate) fn read_tag(buf: &[u8], pos: &mut usize) -> Result<u8> {
     Ok(tag)
 }
 
-/// Decodes the body of a [`Report::RefineLabeled`] report (everything
-/// after the tag) into `bits`, reusing the buffer's capacity. Shared by
-/// [`Report::decode`] and the aggregator's absorb-from-wire fast path.
-pub(crate) fn read_oue_bits(buf: &[u8], pos: &mut usize, bits: &mut Vec<usize>) -> Result<()> {
+/// Decodes an OUE bit-set body (everything after the tag) into `bits`,
+/// reusing the buffer's capacity.
+fn read_oue_bits(buf: &[u8], pos: &mut usize, bits: &mut Vec<usize>) -> Result<()> {
     bits.clear();
     let n = read_usize(buf, pos)?;
     // Each encoded bit needs at least one byte, so a count beyond the
@@ -196,6 +198,80 @@ pub(crate) fn read_oue_bits(buf: &[u8], pos: &mut usize, bits: &mut Vec<usize>) 
         prev = bit;
     }
     Ok(())
+}
+
+/// One decoded report, borrowing its OUE bit set from a [`Report`] or
+/// from the decoder's reusable buffer, so absorbing it allocates nothing.
+/// [`read_report`] is the one wire decoder: [`Report::decode`], the absorb
+/// path and the sealed-frame validation tier all read reports through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ReportRef<'a> {
+    Length(usize),
+    LengthOue(&'a [usize]),
+    LengthOlh(OlhReport),
+    LengthPiecewise(i64),
+    SubShape { level: usize, value: usize },
+    Expand(usize),
+    RefineSelect(usize),
+    RefineLabeled(&'a [usize]),
+}
+
+impl ReportRef<'_> {
+    /// Short human-readable kind name for error messages.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            ReportRef::Length(_) => "length",
+            ReportRef::LengthOue(_) => "length-oue",
+            ReportRef::LengthOlh(_) => "length-olh",
+            ReportRef::LengthPiecewise(_) => "length-piecewise",
+            ReportRef::SubShape { .. } => "sub-shape",
+            ReportRef::Expand(_) => "expand",
+            ReportRef::RefineSelect(_) => "refine-select",
+            ReportRef::RefineLabeled(_) => "refine-labeled",
+        }
+    }
+}
+
+/// Decodes the report starting at `*pos`, advancing `*pos` past it, and
+/// hands it to `then`. OUE bit sets are read into `bits`, whose capacity
+/// is reused across calls.
+///
+/// `inline(always)`, with `then` called inside each tag's arm: this heads
+/// the absorb loop (~10 ns/report), and the report's kind is a constant in
+/// every arm, so the aggregator's checks and counts fold into this one
+/// dispatch. The per-user-per-level kinds come first.
+#[inline(always)]
+pub(crate) fn read_report<T>(
+    buf: &[u8],
+    pos: &mut usize,
+    bits: &mut Vec<usize>,
+    then: impl FnOnce(ReportRef<'_>) -> Result<T>,
+) -> Result<T> {
+    match read_tag(buf, pos)? {
+        TAG_EXPAND => then(ReportRef::Expand(read_usize(buf, pos)?)),
+        TAG_REFINE_SELECT => then(ReportRef::RefineSelect(read_usize(buf, pos)?)),
+        TAG_SUB_SHAPE => {
+            let level = read_usize(buf, pos)?;
+            let value = read_usize(buf, pos)?;
+            then(ReportRef::SubShape { level, value })
+        }
+        TAG_REFINE_LABELED => {
+            read_oue_bits(buf, pos, bits)?;
+            then(ReportRef::RefineLabeled(bits))
+        }
+        TAG_LENGTH => then(ReportRef::Length(read_usize(buf, pos)?)),
+        TAG_LENGTH_OUE => {
+            read_oue_bits(buf, pos, bits)?;
+            then(ReportRef::LengthOue(bits))
+        }
+        TAG_LENGTH_OLH => {
+            let seed = read_varint(buf, pos)?;
+            let value = read_usize(buf, pos)?;
+            then(ReportRef::LengthOlh(OlhReport { seed, value }))
+        }
+        TAG_LENGTH_PIECEWISE => then(ReportRef::LengthPiecewise(unzigzag(read_varint(buf, pos)?))),
+        tag => Err(Error::Protocol(format!("unknown report tag 0x{tag:02x}"))),
+    }
 }
 
 /// Appends an OUE bit-set body (count + delta-coded ascending bits).
@@ -273,34 +349,39 @@ impl Report {
     /// they are known, at [`crate::ShardAggregator`] absorb time.
     pub fn decode(buf: &[u8]) -> Result<(Report, usize)> {
         let mut pos = 0usize;
-        let report = match read_tag(buf, &mut pos)? {
-            TAG_LENGTH => Report::Length(read_usize(buf, &mut pos)?),
-            TAG_SUB_SHAPE => Report::SubShape {
-                level: read_usize(buf, &mut pos)?,
-                value: read_usize(buf, &mut pos)?,
-            },
-            TAG_EXPAND => Report::Expand(read_usize(buf, &mut pos)?),
-            TAG_REFINE_SELECT => Report::RefineSelect(read_usize(buf, &mut pos)?),
-            TAG_REFINE_LABELED => {
-                let mut bits = Vec::new();
-                read_oue_bits(buf, &mut pos, &mut bits)?;
-                Report::RefineLabeled(OueReport::from_set_bits(bits).map_err(Error::Ldp)?)
-            }
-            TAG_LENGTH_OUE => {
-                let mut bits = Vec::new();
-                read_oue_bits(buf, &mut pos, &mut bits)?;
-                Report::LengthOue(OueReport::from_set_bits(bits).map_err(Error::Ldp)?)
-            }
-            TAG_LENGTH_OLH => Report::LengthOlh(OlhReport {
-                seed: read_varint(buf, &mut pos)?,
-                value: read_usize(buf, &mut pos)?,
-            }),
-            TAG_LENGTH_PIECEWISE => Report::LengthPiecewise(unzigzag(read_varint(buf, &mut pos)?)),
-            tag => {
-                return Err(Error::Protocol(format!("unknown report tag 0x{tag:02x}")));
-            }
-        };
+        let mut bits = Vec::new();
+        let oue = |bits: &[usize]| OueReport::from_set_bits(bits.to_vec()).map_err(Error::Ldp);
+        let report = read_report(buf, &mut pos, &mut bits, |report| {
+            Ok(match report {
+                ReportRef::Length(v) => Report::Length(v),
+                ReportRef::LengthOue(bits) => Report::LengthOue(oue(bits)?),
+                ReportRef::LengthOlh(r) => Report::LengthOlh(r),
+                ReportRef::LengthPiecewise(q) => Report::LengthPiecewise(q),
+                ReportRef::SubShape { level, value } => Report::SubShape { level, value },
+                ReportRef::Expand(i) => Report::Expand(i),
+                ReportRef::RefineSelect(i) => Report::RefineSelect(i),
+                ReportRef::RefineLabeled(bits) => Report::RefineLabeled(oue(bits)?),
+            })
+        })?;
         Ok((report, pos))
+    }
+
+    /// This report as a [`ReportRef`], the form the aggregator checks and
+    /// counts.
+    pub(crate) fn view(&self) -> ReportRef<'_> {
+        match self {
+            Report::Length(v) => ReportRef::Length(*v),
+            Report::LengthOue(r) => ReportRef::LengthOue(r.set_bits()),
+            Report::LengthOlh(r) => ReportRef::LengthOlh(*r),
+            Report::LengthPiecewise(q) => ReportRef::LengthPiecewise(*q),
+            Report::SubShape { level, value } => ReportRef::SubShape {
+                level: *level,
+                value: *value,
+            },
+            Report::Expand(i) => ReportRef::Expand(*i),
+            Report::RefineSelect(i) => ReportRef::RefineSelect(*i),
+            Report::RefineLabeled(r) => ReportRef::RefineLabeled(r.set_bits()),
+        }
     }
 
     /// Decodes a whole frame of concatenated reports.
@@ -391,8 +472,10 @@ pub fn unseal_frame(frame: &[u8]) -> Result<&[u8]> {
 /// RoutedFrame := 0xF6 u8(version) varint(session_id) varint(generation) payload
 /// ```
 ///
-/// The payload is an ordinary frame (sealed `0xF5 …` or plain concatenated
-/// reports); the envelope adds routing only, no re-encoding. The
+/// The payload is a sealed frame (`0xF5 …`); the envelope adds routing
+/// only, no re-encoding. The codec itself does not look inside the
+/// payload, but the service registry accepts sealed payloads only: a plain
+/// one fails the envelope check and counts as a rejected frame. The
 /// `generation` tag is the session's current round identity — for trie
 /// rounds, the [`privshape_timeseries::CandidateTable::fingerprint`] of the
 /// round's candidate set — and lets the router refuse frames from
@@ -404,7 +487,7 @@ pub struct RoutedFrame<'a> {
     pub session_id: u64,
     /// Round-generation tag the producer stamped on the frame.
     pub generation: u64,
-    /// The enclosed frame bytes (sealed or plain), untouched.
+    /// The enclosed frame bytes, untouched (sealed, for the registry).
     pub payload: &'a [u8],
 }
 
@@ -474,7 +557,7 @@ impl<'a> RoutedFrame<'a> {
     }
 }
 
-/// Wraps a frame (sealed or plain) in a routing envelope for
+/// Wraps a sealed frame ([`seal_frame`]) in a routing envelope for
 /// `session_id` at round generation `generation`.
 pub fn route_frame(session_id: u64, generation: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(payload.len() + 22);
@@ -484,21 +567,6 @@ pub fn route_frame(session_id: u64, generation: u64, payload: &[u8]) -> Vec<u8> 
     put_varint(&mut frame, generation);
     frame.extend_from_slice(payload);
     frame
-}
-
-/// Reads the next `(user_id, report byte range)` entry of a sealed-frame
-/// body, advancing `*pos` past it. The report is structurally decoded to
-/// find its span but not returned — callers that only need to forward or
-/// skip the bytes never materialize it.
-pub(crate) fn next_sealed_entry(
-    body: &[u8],
-    pos: &mut usize,
-) -> Result<(usize, std::ops::Range<usize>)> {
-    let user = read_usize(body, pos)?;
-    let start = *pos;
-    let (_, used) = Report::decode(&body[start..])?;
-    *pos = start + used;
-    Ok((user, start..*pos))
 }
 
 #[cfg(test)]
@@ -605,9 +673,9 @@ mod tests {
         let mut pos = 0;
         let mut seen = Vec::new();
         while pos < body.len() {
-            let (user, span) = next_sealed_entry(body, &mut pos).unwrap();
-            let (report, used) = Report::decode(&body[span.clone()]).unwrap();
-            assert_eq!(used, span.len());
+            let user = read_usize(body, &mut pos).unwrap();
+            let (report, used) = Report::decode(&body[pos..]).unwrap();
+            pos += used;
             seen.push((user, report));
         }
         assert_eq!(seen, entries);

@@ -6,8 +6,8 @@
 
 use privshape_ldp::{Epsilon, Oue};
 use privshape_protocol::{
-    seal_frame, Audience, GroupId, IngestConfig, IngestPipeline, PrivShapeConfig, Report,
-    RoundSpec, Session, ShardAggregator, UserClient,
+    seal_frame, Audience, Error, FaultKind, FaultPlan, GroupId, IngestConfig, IngestPipeline,
+    PrivShapeConfig, Report, RoundSpec, Session, ShardAggregator, UserClient,
 };
 use privshape_timeseries::{CandidateTable, SaxParams, TimeSeries};
 use proptest::prelude::*;
@@ -92,7 +92,7 @@ fn streamed(
     for frame in frames {
         pipeline.submit_frame(frame).unwrap();
     }
-    pipeline.finish().unwrap()
+    pipeline.finish().0.unwrap()
 }
 
 proptest! {
@@ -139,11 +139,12 @@ proptest! {
     }
 
     /// Adversarial sealed-frame streams: a report replayed inside its own
-    /// frame, replayed frames (every report a user-id duplicate) and
-    /// bit-flipped frames (checksum breaks) are shed at the ingest
-    /// boundary, so the final aggregate is
-    /// bit-identical to the clean stream's — and the [`IngestStats`]
-    /// counters account for exactly what was dropped.
+    /// frame, replayed frames (every report a user-id duplicate),
+    /// bit-flipped frames (checksum breaks) and well-formed, correctly
+    /// sealed frames carrying one report the round refuses (selection out
+    /// of range, wrong kind) are shed at the ingest boundary, so the final
+    /// aggregate is bit-identical to the clean stream's — and the
+    /// [`IngestStats`] counters account for exactly what was dropped.
     #[test]
     fn hostile_sealed_stream_equals_clean_stream(
         selections in prop::collection::vec(0usize..6, 1..200),
@@ -171,6 +172,20 @@ proptest! {
         let mut expected_duplicates = 0u64;
         let mut expected_rejects = 0u64;
         for chunk in entries.chunks(frame_len) {
+            if rng.random_bool(0.5) {
+                // The same users, one of them reporting something the
+                // round refuses, sent ahead of the honest frame: rejected
+                // whole, so no user's slot is burnt.
+                let mut hostile = chunk.to_vec();
+                let victim = rng.random_range(0..hostile.len());
+                hostile[victim].1 = match rng.random_range(0..3) {
+                    0 => Report::Expand(6 + rng.random_range(0..1000usize)),
+                    1 => Report::Length(0),
+                    _ => Report::SubShape { level: 99, value: 0 },
+                };
+                pipeline.submit_sealed_frame(&seal_frame(&hostile)).unwrap();
+                expected_rejects += 1;
+            }
             let mut sent = chunk.to_vec();
             if rng.random_bool(0.25) {
                 // Repeat one report inside its own frame: only the first
@@ -194,7 +209,7 @@ proptest! {
                 expected_rejects += 1;
             }
         }
-        let (merged, stats) = pipeline.finish_accounted();
+        let (merged, stats) = pipeline.finish();
         prop_assert_eq!(merged.unwrap(), reference);
         prop_assert_eq!(stats.accepted_reports as usize, reports.len());
         prop_assert_eq!(stats.duplicate_reports, expected_duplicates);
@@ -262,10 +277,7 @@ fn sealed_ingest_counters_surface_in_diagnostics() {
                     pipeline.submit_sealed_frame(&bad).unwrap();
                 }
             }
-            let (shard, stats) = pipeline.finish_accounted();
-            let shard = shard.unwrap();
-            session.record_ingest_stats(&stats);
-            session.submit_shard(&shard).unwrap();
+            session.submit_pipeline(pipeline).unwrap();
         }
         (session.finish().unwrap(), rounds)
     };
@@ -288,4 +300,81 @@ fn sealed_ingest_counters_surface_in_diagnostics() {
         attacked.diagnostics.duplicate_reports > 0,
         "replayed frames must be counted as duplicates"
     );
+}
+
+/// `Session::submit_pipeline` folds a failed round's counters into the
+/// session before returning the error, and leaves the round open: a
+/// second pipeline over the same reports closes it, and the session
+/// finishes like one that never failed.
+#[test]
+fn submit_pipeline_folds_counters_when_the_round_fails() {
+    let series: Vec<TimeSeries> = (0..60)
+        .map(|i| {
+            let mut v = vec![-1.0 + (i % 4) as f64 * 1e-3; 20];
+            v.extend(vec![1.5; 20]);
+            TimeSeries::new(v).unwrap()
+        })
+        .collect();
+    let mut cfg = PrivShapeConfig::new(
+        Epsilon::new(4.0).unwrap(),
+        2,
+        SaxParams::new(10, 3).unwrap(),
+    );
+    cfg.length_range = (1, 4);
+    let config = IngestConfig {
+        workers: 2,
+        queue_capacity: 8,
+    };
+    let drive = |fault: bool| {
+        let mut session = Session::privshape(cfg.clone(), series.len()).unwrap();
+        if fault {
+            let plan = FaultPlan::new([FaultKind::WorkerPanic { at_absorb: 0 }]);
+            session.set_fault_plan(Some(Arc::new(plan)));
+        }
+        let params = session.params().clone();
+        let mut clients: Vec<UserClient> = series
+            .iter()
+            .enumerate()
+            .map(|(u, s)| UserClient::new(u, s, &params))
+            .collect();
+        let mut failures = 0;
+        while let Some(spec) = session.next_round().unwrap() {
+            let entries: Vec<(usize, Report)> = clients
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(u, c)| c.answer(&spec).unwrap().map(|r| (u, r)))
+                .collect();
+            let frames: Vec<Vec<u8>> = entries.chunks(5).map(seal_frame).collect();
+            loop {
+                let pipeline = session.ingest_pipeline(config).unwrap();
+                for frame in &frames {
+                    match pipeline.submit_sealed_frame(frame) {
+                        Ok(()) | Err(Error::PipelinePoisoned { .. }) => {}
+                        Err(e) => panic!("unexpected submit error: {e}"),
+                    }
+                }
+                match session.submit_pipeline(pipeline) {
+                    Ok(absorbed) => {
+                        assert_eq!(absorbed, entries.len() as u64);
+                        break;
+                    }
+                    Err(Error::PipelinePoisoned { .. }) => {
+                        failures += 1;
+                        assert_eq!(session.ingest_stats().worker_panics, 1);
+                        assert_eq!(session.current_round(), Some(&spec), "round stays open");
+                    }
+                    Err(e) => panic!("unexpected round failure: {e}"),
+                }
+            }
+        }
+        let stats = session.ingest_stats();
+        (session.finish().unwrap(), failures, stats)
+    };
+    let (clean, clean_failures, clean_stats) = drive(false);
+    let (recovered, failures, stats) = drive(true);
+    assert_eq!(clean_failures, 0);
+    assert_eq!(failures, 1, "the injected panic fails exactly one round");
+    assert_eq!(recovered.shapes, clean.shapes);
+    assert_eq!(stats.worker_panics, 1);
+    assert_eq!(clean_stats.worker_panics, 0);
 }

@@ -88,7 +88,7 @@ fn drive_sharded(
         a = a.min(n);
         b = b.clamp(a, n);
         let mut shards: Vec<ShardAggregator> = (0..3)
-            .map(|_| session.shard_aggregator().unwrap())
+            .map(|_| ShardAggregator::for_round(&spec, session.params().epsilon).unwrap())
             .collect();
         for (i, report) in reports.iter().enumerate() {
             let shard = if i < a {
@@ -202,7 +202,9 @@ fn labeled_shards_match_single_shot_for_every_merge_order() {
                 None => session.submit(&reports).unwrap(),
                 Some(p) => {
                     let mut shards: Vec<ShardAggregator> = (0..3)
-                        .map(|_| session.shard_aggregator().unwrap())
+                        .map(|_| {
+                            ShardAggregator::for_round(&spec, session.params().epsilon).unwrap()
+                        })
                         .collect();
                     for (i, r) in reports.iter().enumerate() {
                         shards[i % 3].absorb(r).unwrap();

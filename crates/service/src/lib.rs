@@ -241,6 +241,28 @@ mod tests {
     }
 
     #[test]
+    fn plain_payloads_count_as_rejected_frames() {
+        let data = series(300);
+        let session = Session::privshape(config(9), data.len()).unwrap();
+        let mut cs = clients(&session, &data);
+        let registry = ServiceRegistry::new(ServiceConfig::default());
+        let id = registry.admit(session).unwrap();
+        let spec = registry.begin_round(id).unwrap().expect("length round");
+        let generation = registry.session_generation(id).unwrap();
+        // A well-formed report routed without its seal: shed, not absorbed.
+        let plain = route_frame(id, generation, &Report::Length(0).encode());
+        registry.route_frame(&plain).unwrap();
+        let frames = routed_frames(&mut cs, &spec, id, generation, 50);
+        for frame in &frames {
+            registry.route_frame(frame).unwrap();
+        }
+        registry.close_round(id).unwrap();
+        let stats = registry.session_ingest_stats(id).unwrap();
+        assert_eq!(stats.rejected_frames, 1);
+        assert_eq!(stats.worker_panics, 0);
+    }
+
+    #[test]
     fn unknown_sessions_and_versions_are_typed_errors() {
         let registry = ServiceRegistry::new(ServiceConfig::default());
         let frame = route_frame(42, 1, &seal_frame(&[(0, Report::Length(0))]));

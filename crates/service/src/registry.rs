@@ -109,15 +109,16 @@ impl Slot {
         // Producers only briefly hold clones (between the route-lock
         // release and submit); with the generation retired no new clone
         // can appear, so uniqueness is moments away.
-        let (result, stats) = unwrap_unique(pipeline).finish_accounted();
-        // Fold the round's counters in even when it failed: the session's
-        // health metrics (worker panics above all) must survive a crashed
-        // round so recovery and diagnostics see *why* it died.
-        session.record_ingest_stats(&stats);
-        let shard = result?;
-        if shard.reports() > 0 {
-            session.submit_shard(&shard)?;
-        }
+        let pipeline = unwrap_unique(pipeline);
+        let accepted = session.ingest_stats().accepted_reports;
+        let absorbed = session.submit_pipeline(pipeline)?;
+        // Ingest conservation: the registry routes only sealed frames, so
+        // every report the round absorbed passed the validation tier once.
+        debug_assert_eq!(
+            absorbed,
+            session.ingest_stats().accepted_reports - accepted,
+            "session {id}: round absorbed {absorbed} reports but accepted a different count"
+        );
         Ok(())
     }
 
@@ -351,7 +352,8 @@ impl ServiceRegistry {
     ///   table) — [`ProtocolError::StaleGeneration`];
     /// * a known session with no round open — [`ServiceError::NoOpenRound`].
     ///
-    /// Payload-level problems (bit-flips, duplicate users) stay the
+    /// Payload-level problems (bit-flips, a plain instead of a sealed
+    /// payload, a report the round refuses, duplicate users) stay the
     /// pipeline's business: they move the session's rejection counters
     /// and the call still returns `Ok(())`, exactly like direct sealed
     /// submission.

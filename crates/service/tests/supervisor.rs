@@ -249,6 +249,57 @@ fn corrupted_checkpoint_falls_back_and_heals() {
     assert_identical(&got, &expected);
 }
 
+/// A report the round `spec` refuses although it is well formed: a
+/// selection past the candidate list, a sub-shape level past the trie
+/// height, a length past the range, or (labeled refinement) a wrong kind.
+fn refused_by(spec: &RoundSpec) -> Report {
+    match spec {
+        RoundSpec::Length { range, .. } => Report::Length(range.1 - range.0 + 1),
+        RoundSpec::SubShape { ell_s, .. } => Report::SubShape {
+            level: *ell_s,
+            value: 0,
+        },
+        RoundSpec::Expand { candidates, .. } => Report::Expand(candidates.len()),
+        RoundSpec::RefineUnlabeled { candidates, .. } => Report::RefineSelect(candidates.len()),
+        RoundSpec::RefineLabeled { .. } => Report::Expand(0),
+    }
+}
+
+/// One well-formed, correctly sealed frame per round carrying a report
+/// the round refuses, from a user id outside the population, is rejected
+/// whole at the boundary: it never poisons a round, so the supervised
+/// session is never recovered or quarantined and finishes bit-identically
+/// to its twin.
+#[test]
+fn refused_reports_are_rejected_not_quarantined() {
+    let n = 300;
+    let data = series(n);
+    let (expected, _) = twin(9, n, &data);
+
+    let sup = ServiceRegistry::supervised(ServiceConfig::default(), fast_policy());
+    let session = Session::privshape(config(9), n).unwrap();
+    let mut cs = clients(&session, &data);
+    let id = sup.admit(session).unwrap();
+    let mut rounds = 0u64;
+    while let Some(spec) = sup.begin_round(id).unwrap() {
+        rounds += 1;
+        let generation = sup.session_generation(id).unwrap();
+        let hostile = seal_frame(&[(100_000, refused_by(&spec))]);
+        sup.route_frame(&route_frame(id, generation, &hostile))
+            .unwrap();
+        for frame in routed_frames(&mut cs, &spec, id, generation) {
+            sup.route_frame(&frame).unwrap();
+        }
+        sup.close_round(id).unwrap();
+    }
+    let stats = sup.session_ingest_stats(id).unwrap();
+    assert_eq!(stats.rejected_frames, rounds);
+    assert_eq!(stats.worker_panics, 0);
+    assert_eq!(sup.recovery_stats(id).unwrap().recoveries, 0);
+    assert!(sup.quarantine_report(id).is_none());
+    assert_identical(&sup.finish(id).unwrap(), &expected);
+}
+
 /// Satellite (f) regression: a pre-crash duplicate frame replayed after
 /// restore carries the old round's generation tag, is rejected typed with
 /// [`ProtocolError::StaleGeneration`], is **not** journaled, and the

@@ -135,7 +135,9 @@ fn main() {
         println!("round {round}: {}", describe(&spec));
 
         let mut shards: Vec<ShardAggregator> = (0..3)
-            .map(|_| session.shard_aggregator().expect("open round"))
+            .map(|_| {
+                ShardAggregator::for_round(&spec, session.params().epsilon).expect("valid round")
+            })
             .collect();
         let mut answered = 0usize;
         for client in &mut clients {

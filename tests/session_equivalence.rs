@@ -172,8 +172,11 @@ fn streaming_ingest_loop_matches_facade() {
         let mut frames: Vec<Vec<u8>> = Vec::new();
         let mut frame = Vec::new();
         for client in &mut clients {
-            if client.answer_wire(&spec, &mut ws, &mut frame).unwrap() && frame.len() > 64 {
-                frames.push(std::mem::take(&mut frame));
+            if let Some(report) = client.answer_with(&spec, &mut ws).unwrap() {
+                report.encode_into(&mut frame);
+                if frame.len() > 64 {
+                    frames.push(std::mem::take(&mut frame));
+                }
             }
         }
         if !frame.is_empty() {
@@ -193,7 +196,7 @@ fn streaming_ingest_loop_matches_facade() {
         for f in frames {
             pipeline.submit_frame(f).unwrap();
         }
-        session.submit_shard(&pipeline.finish().unwrap()).unwrap();
+        session.submit_pipeline(pipeline).unwrap();
     }
     let streamed = session.finish().unwrap();
 
